@@ -9,12 +9,12 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from fractions import Fraction
+from dataclasses import fields
 
 import click
 
-from .diagram import PDCode, PretzelParams, parse_pd
-from .errors import KnotObstructError
+from .diagram import PretzelParams, parse_pd
+from .errors import InputSyntaxError, KnotObstructError
 from .kauffman import jones
 from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
@@ -28,120 +28,134 @@ from .selftest import SUITES, run_selftest
 from .twoloop import TangleInvariants, reduced_two_loop
 
 
-def _parse_pretzel(text: str) -> PretzelParams:
+def _ints(text: str, *counts: int) -> list[int]:
     parts = [int(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise click.UsageError("--pretzel wants three comma-separated odd integers")
-    return PretzelParams(*parts)
+    if len(parts) not in counts:
+        wanted = " or ".join(map(str, counts))
+        raise ValueError(f"wants {wanted} comma-separated integers")
+    return parts
 
 
-def _parse_seifert(text: str) -> SeifertMatrix:
-    rows = [
-        [int(x) for x in row.split(",") if x.strip() != ""]
-        for row in text.split(";")
-        if row.strip() != ""
-    ]
-    return SeifertMatrix(rows)
+#: input kind -> parser of its text, shared by the options and batch rows
+_PARSERS = {
+    "pretzel": lambda text: PretzelParams(*_ints(text, 3)),
+    "pd": parse_pd,
+    "seifert": lambda text: SeifertMatrix(
+        [[int(x) for x in row.split(",") if x.strip()]
+         for row in text.split(";") if row.strip()]
+    ),
+    "spine": lambda text: GenusOneSpine(*_ints(text, 3, 4)),
+    "tinv": lambda text: TangleInvariants(*_ints(text, 4)),
+    "jones": parse_laurent,
+}
+
+_BATCH_KINDS = ("pretzel", "pd", "seifert")
 
 
-def _parse_spine(text: str) -> GenusOneSpine:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) not in (3, 4):
-        raise click.UsageError("--spine wants n,m,ell[,eps]")
-    return GenusOneSpine(*parts)
+def _parse_input(kind: str, text: str):
+    """Parse the text of one input kind; bad text raises only
+    KnotObstructError subclasses."""
+    try:
+        return _PARSERS[kind](text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputSyntaxError(f"--{kind} {text!r}: {exc}") from exc
 
 
-def _parse_tinv(text: str) -> TangleInvariants:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise click.UsageError("--tinv wants v2xx,v2yy,v2xy,v3")
-    return TangleInvariants(*parts)
+def _input_option(kind: str, help: str, name: str | None = None):
+    return click.option(
+        f"--{kind}",
+        name or kind,
+        default=None,
+        help=help,
+        callback=lambda ctx, param, text: (
+            None if text is None else _parse_input(kind, text)
+        ),
+    )
 
 
-def _frac_str(x: Fraction | None) -> str:
-    if x is None:
-        return "-"
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_SOURCE_OPTIONS = (
+    _input_option("pretzel", "p,q,r (odd)"),
+    _input_option("pd", 'PD code "X(a,b,c,d); ..."'),
+    _input_option("seifert", 'row-major "a,b;c,d"'),
+    _input_option("spine", "n,m,ell[,eps]"),
+)
+
+
+def _source_options(fn):
+    for option in reversed(_SOURCE_OPTIONS):
+        fn = option(fn)
+    return fn
 
 
 def _print_report(report: ObstructionReport, as_json: bool) -> None:
     if as_json:
         click.echo(json.dumps(report.to_json_dict(), indent=2))
         return
-    rows = [
-        ("alexander", report.alexander.render() if report.alexander else "-"),
-        ("jones", report.jones.render() if report.jones else "-"),
-        ("determinant", report.determinant if report.determinant is not None else "-"),
-        ("sigma", report.sigma if report.sigma is not None else "-"),
-        ("w3", _frac_str(report.w3)),
-        ("lambda_w", _frac_str(report.lambda_w)),
-        ("theta_at_1", _frac_str(report.theta_at_1)),
-        ("theta_at_minus1", _frac_str(report.theta_at_minus1)),
-        ("ob", _frac_str(report.ob)),
-        ("ob_mod16_nonzero", report.ob_mod16_nonzero),
-        ("verdict", report.verdict),
-    ]
-    for name, value in rows:
-        click.echo(f"{name:18} {value}")
+    for f in fields(report)[:-1]:  # every field but the notes
+        value = getattr(report, f.name)
+        if isinstance(value, LaurentPoly):
+            value = value.render()
+        click.echo(f"{f.name:18} {'-' if value is None else value}")
     for note in report.notes:
         click.echo(f"note: {note}")
 
 
 def _single_source(pretzel, pd, seifert, spine, allow_pd_seifert=False):
-    sources = [x is not None for x in (pretzel, pd, seifert, spine)]
+    given = sum(x is not None for x in (pretzel, pd, seifert, spine))
     if allow_pd_seifert and pd is not None and seifert is not None:
-        sources = [pretzel is not None, True, spine is not None]
-    if sum(sources) != 1:
+        given -= 1
+    if given != 1:
         raise click.UsageError(
             "give exactly one input source (--pretzel | --pd | --seifert | --spine)"
         )
 
 
-@click.group()
+class _Main(click.Group):
+    """Every KnotObstructError ends the command with exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except KnotObstructError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact knot invariants and cosmetic-crossing obstructions."""
 
 
 @main.command()
-@click.option("--pretzel", "pretzel_s", default=None, help="p,q,r (odd)")
-@click.option("--pd", "pd_s", default=None, help='PD code "X(a,b,c,d); ..."')
-@click.option("--seifert", "seifert_s", default=None, help='row-major "a,b;c,d"')
-@click.option("--spine", "spine_s", default=None, help="n,m,ell[,eps]")
-@click.option("--tinv", "tinv_s", default=None, help="v2xx,v2yy,v2xy,v3 (with --spine)")
+@_source_options
+@_input_option("tinv", "v2xx,v2yy,v2xy,v3 (with --spine)")
 @click.option("--json", "as_json", is_flag=True, help="JSON output")
-def invariants(pretzel_s, pd_s, seifert_s, spine_s, tinv_s, as_json):
+def invariants(pretzel, pd, seifert, spine, tinv, as_json):
     """Compute all invariants available from one input source."""
-    pretzel = _parse_pretzel(pretzel_s) if pretzel_s is not None else None
-    pd = parse_pd(pd_s) if pd_s is not None else None
-    seifert = _parse_seifert(seifert_s) if seifert_s is not None else None
-    spine = _parse_spine(spine_s) if spine_s is not None else None
     _single_source(pretzel, pd, seifert, spine)
-    jones_poly = None
-    if spine is not None and tinv_s is not None:
+    if tinv is not None:
+        if spine is None:
+            raise click.UsageError("--tinv needs --spine")
         # the spine route has no diagram; tangle invariants give Theta itself
-        theta = reduced_two_loop(spine, _parse_tinv(tinv_s))
+        theta = reduced_two_loop(spine, tinv)
         click.echo(f"{'theta':18} {theta.render()}")
-    report = cosmetic_verdict(
-        pretzel=pretzel, pd=pd, seifert=seifert, spine=spine, jones_poly=jones_poly
-    )
+    report = cosmetic_verdict(pretzel=pretzel, pd=pd, seifert=seifert, spine=spine)
     _print_report(report, as_json)
 
 
 @main.command()
-@click.option("--pretzel", "pretzel_s", default=None, help="p,q,r (odd)")
-@click.option("--pd", "pd_s", default=None, help='PD code "X(a,b,c,d); ..."')
-@click.option("--seifert", "seifert_s", default=None, help='row-major "a,b;c,d"')
-@click.option("--spine", "spine_s", default=None, help="n,m,ell[,eps]")
-@click.option("--jones", "jones_s", default=None, help='Jones polynomial, e.g. "-1*t^4 + 1*t^3 + 1*t^1"')
+@_source_options
+@_input_option("jones", 'Jones polynomial, e.g. "-1*t^4 + 1*t^3 + 1*t^1"',
+               "jones_poly")
 @click.option("--json", "as_json", is_flag=True, help="JSON output")
-def obstruct(pretzel_s, pd_s, seifert_s, spine_s, jones_s, as_json):
+def obstruct(pretzel, pd, seifert, spine, jones_poly, as_json):
     """Run the cosmetic-crossing decision procedure and print the verdict."""
-    pretzel = _parse_pretzel(pretzel_s) if pretzel_s is not None else None
-    pd = parse_pd(pd_s) if pd_s is not None else None
-    seifert = _parse_seifert(seifert_s) if seifert_s is not None else None
-    spine = _parse_spine(spine_s) if spine_s is not None else None
     _single_source(pretzel, pd, seifert, spine, allow_pd_seifert=True)
-    jones_poly = parse_laurent(jones_s) if jones_s is not None else None
+    if jones_poly is not None and (pretzel is not None or pd is not None):
+        raise click.UsageError(
+            "--jones goes with --seifert or --spine; "
+            "--pretzel and --pd compute their own Jones polynomial"
+        )
     report = cosmetic_verdict(
         pretzel=pretzel, pd=pd, seifert=seifert, spine=spine, jones_poly=jones_poly
     )
@@ -167,12 +181,12 @@ def pretzel_scan(k_min, k_max, jones_upto, as_json):
             "q": params.q,
             "r": params.r,
             "alexander_trivial": pretzel_alexander_coeff(params) == 0,
-            "ob_closed_form": _frac_str(ob),
+            "ob_closed_form": str(ob),
             "verdict_mod16": predicted,
         }
         if k <= jones_upto:
             _, _, ob_jones = obstruction_value(jones(params))
-            row["ob_jones_route"] = _frac_str(ob_jones)
+            row["ob_jones_route"] = str(ob_jones)
             row["routes_agree"] = ob_jones == ob
         rows.append(row)
     if as_json:
@@ -194,21 +208,12 @@ def pretzel_scan(k_min, k_max, jones_upto, as_json):
 
 
 def _batch_row_report(kind: str, payload: list[str]) -> ObstructionReport:
-    if kind == "pretzel":
-        if len(payload) < 3:
-            raise KnotObstructError("pretzel rows need columns p,q,r")
-        return cosmetic_verdict(
-            pretzel=PretzelParams(*(int(x) for x in payload[:3]))
-        )
-    if kind == "pd":
-        if not payload:
-            raise KnotObstructError("pd rows need a PD string column")
-        return cosmetic_verdict(pd=parse_pd(payload[0]))
-    if kind == "seifert":
-        if not payload:
-            raise KnotObstructError("seifert rows need a matrix column")
-        return cosmetic_verdict(seifert=_parse_seifert(payload[0]))
-    raise KnotObstructError(f"unknown row kind {kind!r}")
+    """A row `kind,label,<payload...>` reads like `--kind "<payload>"`."""
+    if kind not in _BATCH_KINDS:
+        raise KnotObstructError(f"unknown row kind {kind!r}")
+    if not payload:
+        raise KnotObstructError(f"{kind} rows need a payload column")
+    return cosmetic_verdict(**{kind: _parse_input(kind, ",".join(payload))})
 
 
 @main.command()
@@ -231,7 +236,7 @@ def batch(input_path, output_path):
             payload = [c.strip() for c in row[2:]]
             try:
                 report = _batch_row_report(kind, payload)
-            except (KnotObstructError, ValueError) as exc:
+            except KnotObstructError as exc:
                 results.append({"label": label, "error": str(exc), "line": lineno})
                 counts["error"] = counts.get("error", 0) + 1
                 continue
@@ -263,13 +268,5 @@ def selftest(suite, flip_smoothing):
         sys.exit(1)
 
 
-def run():
-    try:
-        main(standalone_mode=True)
-    except KnotObstructError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-
 if __name__ == "__main__":
-    run()
+    main()

@@ -21,10 +21,17 @@ Quad = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class PDCode:
-    """Crossing list plus a count of crossing-free circle components."""
+    """Crossing list plus a count of crossing-free circle components.
+
+    Construction validates (see validate_pd), so every PDCode is a
+    single oriented knot diagram.
+    """
 
     crossings: tuple[Quad, ...]
     free_loops: int = 0
+
+    def __post_init__(self):
+        validate_pd(self)
 
     @property
     def n(self) -> int:
@@ -52,7 +59,7 @@ _X_RE = re.compile(r"^X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
 def parse_pd(text: str, free_loops: int | None = None) -> PDCode:
-    """Parse `X(a,b,c,d)` items separated by `;` and validate the result.
+    """Parse `X(a,b,c,d)` items separated by `;` into a (validated) PDCode.
 
     An empty string parses to the crossingless unknot (free_loops
     defaults to 1 in that case, to 0 otherwise).
@@ -66,9 +73,7 @@ def parse_pd(text: str, free_loops: int | None = None) -> PDCode:
         quads.append(tuple(int(g) for g in m.groups()))
     if free_loops is None:
         free_loops = 1 if not quads else 0
-    pd = PDCode(tuple(quads), free_loops)
-    validate_pd(pd)
-    return pd
+    return PDCode(tuple(quads), free_loops)
 
 
 def render_pd(pd: PDCode) -> str:
@@ -180,7 +185,6 @@ def crossing_sign(quad: Quad, n: int) -> int:
 
 def writhe(pd: PDCode) -> int:
     """Sum of crossing signs of an oriented PD code."""
-    validate_pd(pd)
     n = pd.n
     return sum(crossing_sign(q, n) for q in pd.crossings)
 
@@ -286,6 +290,4 @@ def pretzel_pd(params: PretzelParams) -> PDCode:
             s3 = _CCW[s2]
             quads.append(tuple(label[(ci, s)] for s in (s0, s1, s2, s3)))
 
-    pd = PDCode(tuple(quads), 0)
-    validate_pd(pd)
-    return pd
+    return PDCode(tuple(quads), 0)

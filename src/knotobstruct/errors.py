@@ -5,7 +5,11 @@ class KnotObstructError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PDSyntaxError(KnotObstructError):
+class InputSyntaxError(KnotObstructError):
+    """Malformed input text: an option value or a batch row's payload."""
+
+
+class PDSyntaxError(InputSyntaxError):
     """Malformed PD-code text."""
 
 

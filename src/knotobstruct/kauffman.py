@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .diagram import PDCode, PretzelParams, pretzel_pd, validate_pd, writhe
+from .diagram import PDCode, PretzelParams, writhe
 from .errors import DiagramTooLarge, NormalizationError
 from .laurent import LaurentPoly
 
@@ -32,7 +32,6 @@ def bracket_brute(
     pairing; it exists only so the selftest can demonstrate that the
     trefoil oracle catches a broken convention.
     """
-    validate_pd(pd)
     n = pd.n
     if n > cap:
         raise DiagramTooLarge(
@@ -161,11 +160,16 @@ def jones(
     """Jones polynomial V(t) = (-A^3)^(-w) <D> under t = A^-4.
 
     Pretzel parameters use the fast twist recursion; PD codes the brute
-    state sum.  Raises NormalizationError if the writhe-corrected bracket
-    has an exponent not divisible by 4 (a convention tripwire).
+    state sum.  The writhe of P(p,q,r) is p + q + r: with all three
+    entries odd, the two strands of every twist region run antiparallel,
+    so each of its |v| crossings has the sign of v (P(1,1,1) is the
+    writhe +3 trefoil).  No PD code is built for pretzels, which keeps
+    this route independent of the pretzel_pd generator the brute route
+    is checked on.  Raises NormalizationError if the writhe-corrected
+    bracket has an exponent not divisible by 4 (a convention tripwire).
     """
     if isinstance(diagram, PretzelParams):
-        w = writhe(pretzel_pd(diagram))
+        w = sum(diagram.as_tuple())
         br = bracket_twist(diagram)
     else:
         w = writhe(diagram)

@@ -10,7 +10,7 @@ A cosmetic crossing would force Ob into 16Z, so Ob outside 16Z obstructs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .diagram import PDCode, PretzelParams
@@ -21,7 +21,6 @@ from .seifert import (
     GenusOneSpine,
     SeifertMatrix,
     alexander_from_seifert,
-    knot_determinant,
     pretzel_seifert,
     seifert_from_spine,
     signature,
@@ -93,32 +92,19 @@ class ObstructionReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        def frac(x):
-            if x is None:
-                return None
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
-
-        def poly(p):
-            if p is None:
-                return None
-            return {str(e): frac(c) for e, c in sorted(p.terms.items())}
-
-        return {
-            "alexander": poly(self.alexander),
-            "jones": poly(self.jones),
-            "determinant": self.determinant,
-            "sigma": self.sigma,
-            "w3": frac(self.w3),
-            "lambda_w": frac(self.lambda_w),
-            "theta_at_1": frac(self.theta_at_1),
-            "theta_at_minus1": frac(self.theta_at_minus1),
-            "ob": frac(self.ob),
-            "ob_mod16_nonzero": self.ob_mod16_nonzero,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
+        """Fields in order; rationals as "n" or "n/d" strings, polynomials
+        as exponent -> coefficient maps."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, LaurentPoly):
+                value = {str(e): str(c) for e, c in sorted(value.terms.items())}
+            elif isinstance(value, Fraction):
+                value = str(value)
+            elif isinstance(value, list):
+                value = list(value)
+            out[f.name] = value
+        return out
 
 
 def _strict_default() -> bool:
@@ -137,10 +123,12 @@ def cosmetic_verdict(
     """Run the cosmetic-crossing decision procedure for a genus-one knot.
 
     Input is one of: pretzel parameters (both routes, fast), a PD code
-    with a Seifert matrix, or a spine with a precomputed Jones
-    polynomial.  Genus-one status is the caller's assertion.  In strict
-    mode a |V(-1)| vs |Delta(-1)| mismatch raises InconsistentInput;
-    otherwise it is recorded as a note.
+    (optionally with a Seifert matrix), or a Seifert matrix or spine
+    (optionally with a precomputed Jones polynomial).  Genus-one status
+    is the caller's assertion.  The Alexander polynomial is computed
+    once from the Seifert matrix; the determinant is its |Delta(-1)|.
+    In strict mode a |V(-1)| vs |Delta(-1)| mismatch raises
+    InconsistentInput; otherwise it is recorded as a note.
     """
     if strict is None:
         strict = _strict_default()
@@ -166,7 +154,7 @@ def cosmetic_verdict(
     alex = det = sigma = None
     if seifert is not None:
         alex = alexander_from_seifert(seifert)
-        det = knot_determinant(seifert)
+        det = int(abs(alex.evaluate(-1)))
         sigma = signature(seifert)
 
     w3v = lam = th1 = thm1 = ob = None

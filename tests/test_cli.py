@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from knotobstruct.cli import main
@@ -41,15 +42,39 @@ class TestInvariants:
         assert "-4*t - 28 - 4*t^-1" in result.output
 
     def test_requires_exactly_one_source(self):
-        assert invoke("invariants").exit_code != 0
+        assert invoke("invariants").exit_code == 2
         assert (
             invoke("invariants", "--pretzel", "1,1,1", "--spine", "0,0,0").exit_code
-            != 0
+            == 2
         )
 
     def test_bad_pretzel_exits_2(self):
         result = invoke("invariants", "--pretzel", "2,3,5")
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("invariants", "--pretzel", "5,x,-3"),
+            ("invariants", "--pretzel", "1,1"),
+            ("invariants", "--seifert", "1,x;0,1"),
+            ("invariants", "--spine", "1,2"),
+            ("invariants", "--spine", "0,0,0", "--tinv", "1,2,3"),
+            ("obstruct", "--seifert", "-1,1;0,-1", "--jones", "t^^2"),
+            ("obstruct", "--seifert", "-1,1;0,-1", "--jones", "1/0*t"),
+            ("invariants", "--pd", "X(1,2,3)"),
+        ],
+    )
+    def test_malformed_option_values_exit_2(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_tinv_without_spine_exits_2(self):
+        result = invoke("invariants", "--pretzel", "1,1,1", "--tinv", "0,0,0,1")
+        assert result.exit_code == 2
+        assert "--tinv needs --spine" in result.output
 
 
 class TestObstruct:
@@ -76,6 +101,14 @@ class TestObstruct:
         doc = json.loads(result.output)
         assert doc["verdict"] == "HoldsNontrivialAlexander"
         assert doc["lambda_w"] == "-1/18"
+
+    @pytest.mark.parametrize(
+        "source", [("--pretzel", "1,1,1"), ("--pd", TREFOIL_PD)]
+    )
+    def test_jones_with_own_jones_source_exits_2(self, source):
+        result = invoke("obstruct", *source, "--jones", "-1*t^4 + 1*t^3 + 1*t^1")
+        assert result.exit_code == 2
+        assert "--jones goes with --seifert or --spine" in result.output
 
     def test_explicit_jones(self):
         result = invoke(
@@ -146,6 +179,23 @@ class TestBatch:
         assert doc["summary"]["HoldsNontrivialAlexander"] == 1
         assert doc["summary"]["Inconclusive"] == 1
         assert "summary:" in result.output
+
+    def test_non_integer_entries_are_error_rows(self, tmp_path):
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text(
+            "kind,label,payload\n"
+            "pretzel,bad_pretzel,5,x,-3\n"
+            'seifert,bad_seifert,"1,x;0,1"\n'
+            'seifert,trefoil,"-1,1;0,-1"\n'
+        )
+        result = invoke("batch", "--input", str(csv_path))
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        by_label = {r["label"]: r for r in doc["results"]}
+        assert "'x'" in by_label["bad_pretzel"]["error"]
+        assert "'x'" in by_label["bad_seifert"]["error"]
+        assert by_label["trefoil"]["report"]["determinant"] == 3
+        assert doc["summary"] == {"error": 2, "HoldsNontrivialAlexander": 1}
 
     def test_empty_csv(self, tmp_path):
         csv_path = tmp_path / "empty.csv"

@@ -57,6 +57,16 @@ class TestParse:
             assert parse_pd(render_pd(pd)) == pd
 
 
+class TestPDCodeType:
+    def test_direct_construction_validates(self):
+        with pytest.raises(ValidationError):
+            PDCode(((1, 1, 1, 2),))
+
+    def test_direct_construction_rejects_negative_free_loops(self):
+        with pytest.raises(ValidationError):
+            PDCode((), -1)
+
+
 class TestPretzelParams:
     def test_oddness_enforced(self):
         with pytest.raises(ValidationError):
@@ -76,6 +86,16 @@ class TestWrithe:
 
     def test_mirror_trefoil_pretzel(self):
         assert writhe(pretzel_pd(PretzelParams(-1, -1, -1))) == -3
+
+    def test_pretzel_writhe_is_parameter_sum(self):
+        # the twist route of jones() relies on this; same corpus as gate 4
+        odd = [x for x in range(-13, 14) if x % 2]
+        for p in odd:
+            for q in odd:
+                for r in odd:
+                    if abs(p) + abs(q) + abs(r) <= 13:
+                        pd = pretzel_pd(PretzelParams(p, q, r))
+                        assert writhe(pd) == p + q + r
 
     def test_mirror_negates(self):
         for text in [TREFOIL, "X(1,1,2,2)"]:
