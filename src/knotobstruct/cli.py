@@ -20,6 +20,7 @@ from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
     ObstructionReport,
     cosmetic_verdict,
+    json_value,
     obstruction_value,
     pretzel_family,
 )
@@ -87,10 +88,18 @@ def _source_options(fn):
     return fn
 
 
-def _print_report(report: ObstructionReport, as_json: bool) -> None:
+def _print_report(
+    report: ObstructionReport, as_json: bool, theta: LaurentPoly | None = None
+) -> None:
+    """The report as JSON or as a table; a given theta leads either."""
     if as_json:
-        click.echo(json.dumps(report.to_json_dict(), indent=2))
+        doc = report.to_json_dict()
+        if theta is not None:
+            doc = {"theta": json_value(theta), **doc}
+        click.echo(json.dumps(doc, indent=2))
         return
+    if theta is not None:
+        click.echo(f"{'theta':18} {theta.render()}")
     for f in fields(report)[:-1]:  # every field but the notes
         value = getattr(report, f.name)
         if isinstance(value, LaurentPoly):
@@ -133,14 +142,14 @@ def main():
 def invariants(pretzel, pd, seifert, spine, tinv, as_json):
     """Compute all invariants available from one input source."""
     _single_source(pretzel, pd, seifert, spine)
+    theta = None
     if tinv is not None:
         if spine is None:
             raise click.UsageError("--tinv needs --spine")
         # the spine route has no diagram; tangle invariants give Theta itself
         theta = reduced_two_loop(spine, tinv)
-        click.echo(f"{'theta':18} {theta.render()}")
     report = cosmetic_verdict(pretzel=pretzel, pd=pd, seifert=seifert, spine=spine)
-    _print_report(report, as_json)
+    _print_report(report, as_json, theta)
 
 
 @main.command()

@@ -18,7 +18,9 @@ class ValidationError(KnotObstructError):
 
 
 class DiagramTooLarge(KnotObstructError):
-    """Brute-force state sum refused; use the twist-region method."""
+    """Input over a size cap of an exhaustive computation: the brute-force
+    state sum (use the twist-region method) or a Seifert matrix's
+    cofactor determinants."""
 
 
 class NormalizationError(KnotObstructError):

@@ -1,10 +1,10 @@
 """Kauffman bracket and Jones polynomial.
 
 Two engines: a brute-force state sum over all 2^n smoothings (the trusted
-oracle, capped at 20 crossings by default) and a twist-region recursion
-that handles pretzel knots of any size in linear time.  Both work in the
-bracket variable A; the Jones polynomial comes from the writhe-corrected
-bracket under t = A^-4.
+oracle, capped at 20 crossings by default) and a twist-region route that
+handles pretzel knots of any size by closing up three twist tangles, each
+given in closed form.  Both work in the bracket variable A; the Jones
+polynomial comes from the writhe-corrected bracket under t = A^-4.
 """
 
 from __future__ import annotations
@@ -109,26 +109,23 @@ class TangleBracket:
         return f"TangleBracket({self.coef_zero!r}, {self.coef_infinity!r})"
 
 
-_A = LaurentPoly({1: 1})
-_Ainv = LaurentPoly({-1: 1})
-
-
 def twist_tangle(n_halftwists: int) -> TangleBracket:
     """Bracket coordinates of the vertical 2-tangle with n half-twists.
 
     One positive half-twist maps (alpha, beta) to
     (A^-1 alpha, A alpha + (A^-1 + A delta) beta) by the skein relation;
     the assignment of A vs A^-1 is the one that closes up to the trefoil
-    oracle's bracket for P(1,1,1).
+    oracle's bracket for P(1,1,1).  Since A^-1 + A delta = -A^3, this
+    step from (1, 0) is solved in closed form by
+      alpha_n = A^-n,  beta_n = sum_{j<n} (-1)^j A^(4j+2-n),
+    and a negative n is the same with A and A^-1 swapped and |n| twists.
     """
-    alpha, beta = LaurentPoly.one(), LaurentPoly.zero()
-    step = 1 if n_halftwists >= 0 else -1
-    for _ in range(abs(n_halftwists)):
-        if step > 0:
-            alpha, beta = _Ainv * alpha, _A * alpha + (_Ainv + _A * DELTA) * beta
-        else:
-            alpha, beta = _A * alpha, _Ainv * alpha + (_A + _Ainv * DELTA) * beta
-    return TangleBracket(alpha, beta)
+    n = abs(n_halftwists)
+    s = 1 if n_halftwists >= 0 else -1  # s = -1 swaps A and A^-1
+    return TangleBracket(
+        LaurentPoly({-s * n: 1}),
+        LaurentPoly({s * (4 * j + 2 - n): (-1) ** j for j in range(n)}),
+    )
 
 
 def bracket_twist(params: PretzelParams) -> LaurentPoly:
@@ -159,7 +156,7 @@ def jones(
 ) -> LaurentPoly:
     """Jones polynomial V(t) = (-A^3)^(-w) <D> under t = A^-4.
 
-    Pretzel parameters use the fast twist recursion; PD codes the brute
+    Pretzel parameters use the closed-form twist route; PD codes the brute
     state sum.  The writhe of P(p,q,r) is p + q + r: with all three
     entries odd, the two strands of every twist region run antiparallel,
     so each of its |v| crossings has the sign of v (P(1,1,1) is the

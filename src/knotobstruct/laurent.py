@@ -1,8 +1,11 @@
-"""Exact Laurent polynomial arithmetic over the rationals.
+"""Exact Laurent polynomial arithmetic over the integers and rationals.
 
-Polynomials are stored as {exponent: Fraction} maps with no zero
-coefficients, so map equality is polynomial equality.  Everything is
-immutable and pure; no floating point enters anywhere.
+Polynomials are stored as {exponent: coefficient} maps with no zero
+coefficients, so map equality is polynomial equality.  Coefficients are
+kept as given: integer input stays `int` through every ring operation,
+and `Fraction` enters only with a real denominator (a parsed `a/b`, a
+rational scale factor) or through `evaluate`.  Everything is immutable
+and pure; no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ Scalar = Union[int, Fraction]
 
 
 class LaurentPoly:
-    """A Laurent polynomial in one variable with Fraction coefficients."""
+    """A Laurent polynomial in one variable with int or Fraction coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, Fraction] = {}
+        d: dict[int, Scalar] = {}
         for e, c in items:
-            c = Fraction(c)
             if c:
-                d[int(e)] = d.get(int(e), Fraction(0)) + c
+                d[int(e)] = d.get(int(e), 0) + c
                 if not d[int(e)]:
                     del d[int(e)]
         self._terms = d
@@ -54,11 +56,11 @@ class LaurentPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, Scalar]:
         return dict(self._terms)
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+    def coeff(self, exp: int) -> Scalar:
+        return self._terms.get(exp, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -88,7 +90,7 @@ class LaurentPoly:
         other = _coerce(other)
         d = dict(self._terms)
         for e, c in other._terms.items():
-            s = d.get(e, Fraction(0)) + c
+            s = d.get(e, 0) + c
             if s:
                 d[e] = s
             elif e in d:
@@ -113,11 +115,11 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        d: dict[int, Fraction] = {}
+        d: dict[int, Scalar] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = d.get(e, Fraction(0)) + c1 * c2
+                s = d.get(e, 0) + c1 * c2
                 if s:
                     d[e] = s
                 elif e in d:
@@ -129,7 +131,6 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "LaurentPoly":
-        c = Fraction(c)
         if not c:
             return LaurentPoly()
         out = LaurentPoly.__new__(LaurentPoly)
@@ -193,7 +194,7 @@ class LaurentPoly:
         u = self.evaluate(1)
         if u not in (1, -1):
             raise NonNormalizable(f"value at t=1 is {u}, not a unit")
-        p = self.scale(u)  # u = +-1, so this divides by it
+        p = self if u == 1 else -self
         span = p.min_exp() + p.max_exp()
         if span % 2:
             raise NonNormalizable("no centering shift exists (odd exponent span)")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .diagram import PDCode, PretzelParams
 from .errors import InconsistentInput, PreconditionViolation
-from .kauffman import DEFAULT_BRUTE_CAP, jones
+from .kauffman import jones
 from .laurent import LaurentPoly
 from .seifert import (
     GenusOneSpine,
@@ -52,7 +52,7 @@ def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
     (Mullins): -V'(-1)/(6 V(-1)) + sigma/4."""
     vm1 = jones_poly.evaluate(-1)
     if vm1 == 0:
-        raise ZeroDivisionError("V(-1) = 0: not a knot Jones polynomial")
+        raise PreconditionViolation("V(-1) = 0: not a knot Jones polynomial")
     return -jones_poly.derivative().evaluate(-1) / (6 * vm1) + Fraction(sigma, 4)
 
 
@@ -74,6 +74,18 @@ def _mod16_nonzero(ob: Fraction) -> bool:
     return ob.denominator != 1 or int(ob) % 16 != 0
 
 
+def json_value(value):
+    """A report value in JSON form: rationals as "n" or "n/d" strings,
+    polynomials as exponent -> coefficient maps."""
+    if isinstance(value, LaurentPoly):
+        return {str(e): str(c) for e, c in sorted(value.terms.items())}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, list):
+        return list(value)
+    return value
+
+
 @dataclass
 class ObstructionReport:
     """All computed invariants plus the verdict and the deciding branch."""
@@ -92,19 +104,8 @@ class ObstructionReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        """Fields in order; rationals as "n" or "n/d" strings, polynomials
-        as exponent -> coefficient maps."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, LaurentPoly):
-                value = {str(e): str(c) for e, c in sorted(value.terms.items())}
-            elif isinstance(value, Fraction):
-                value = str(value)
-            elif isinstance(value, list):
-                value = list(value)
-            out[f.name] = value
-        return out
+        """Fields in order, each in its json_value form."""
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def _strict_default() -> bool:
@@ -118,7 +119,6 @@ def cosmetic_verdict(
     spine: GenusOneSpine | None = None,
     jones_poly: LaurentPoly | None = None,
     strict: bool | None = None,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> ObstructionReport:
     """Run the cosmetic-crossing decision procedure for a genus-one knot.
 
@@ -145,7 +145,7 @@ def cosmetic_verdict(
     elif pd is not None:
         if pd.n == 0:
             seifert = seifert or SeifertMatrix([])  # crossingless unknot
-        jp = jones(pd, cap=brute_cap)
+        jp = jones(pd)
     elif seifert is not None:
         jp = jones_poly
     else:

@@ -14,8 +14,12 @@ from fractions import Fraction
 from itertools import product
 
 from .diagram import PretzelParams
-from .errors import SingularForm, ValidationError
+from .errors import DiagramTooLarge, SingularForm, ValidationError
 from .laurent import LaurentPoly
+
+#: Largest accepted Seifert matrix (genus 4): determinants are taken by
+#: cofactor expansion, whose cost grows as size!
+MAX_SEIFERT_SIZE = 8
 
 
 class SeifertMatrix:
@@ -28,9 +32,14 @@ class SeifertMatrix:
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise ValidationError("Seifert matrix must be square")
+        if size > MAX_SEIFERT_SIZE:
+            raise DiagramTooLarge(
+                f"{size}x{size} Seifert matrix exceeds the "
+                f"{MAX_SEIFERT_SIZE}x{MAX_SEIFERT_SIZE} cap"
+            )
         self.rows = rows
-        det = _int_det([[a - b for a, b in zip(row, col)]
-                        for row, col in zip(rows, self.transpose())])
+        det = _det([[a - b for a, b in zip(row, col)]
+                    for row, col in zip(rows, self.transpose())])
         if det != 1:
             raise ValidationError(
                 f"det(V - V^T) = {det} != 1: not a Seifert matrix of a knot"
@@ -50,27 +59,20 @@ class SeifertMatrix:
         return f"SeifertMatrix({list(map(list, self.rows))})"
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    n = len(m)
-    if n == 0:
+def _det(m):
+    """Determinant by cofactor expansion along the first row.
+
+    Entries are ints or LaurentPolys; zero entries are skipped, and the
+    empty matrix has determinant 1.
+    """
+    if not m:
         return 1
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((j for j in range(i, n) if m[j][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = Fraction(1, m[i][i])
-        for j in range(i + 1, n):
-            f = m[j][i] * inv
-            m[j] = [m[j][k] - f * m[i][k] for k in range(n)]
-    assert det.denominator == 1
-    return int(det)
+    total = 0
+    for j, a in enumerate(m[0]):
+        if a:
+            term = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total - term if j % 2 else total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -111,41 +113,10 @@ def crossing_change(s: GenusOneSpine, sign: int) -> GenusOneSpine:
 
 def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial det(V - t V^T)."""
-    n = V.size
-    if n == 0:
+    if V.size == 0:
         return LaurentPoly.one()
-    vt = V.transpose()
-    if n == 2:
-        # det = (ad - bc)(1 + t^2) + (b^2 + c^2 - 2ad) t
-        (a, b), (c, d) = V.rows
-        raw = LaurentPoly(
-            {0: a * d - b * c, 1: b * b + c * c - 2 * a * d, 2: a * d - b * c}
-        )
-    else:
-        entries = [
-            [
-                LaurentPoly({0: V.rows[i][j], 1: -vt[i][j]})
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        raw = _poly_det(entries)
-    return raw.alexander_normalize()
-
-
-def _poly_det(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor-expansion determinant for small polynomial matrices."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = LaurentPoly()
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = m[0][j] * _poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return _det([[LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)]
+                 for row, col in zip(V.rows, V.transpose())]).alexander_normalize()
 
 
 def alexander_genus_one(s: GenusOneSpine) -> LaurentPoly:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -41,6 +42,15 @@ class TestInvariants:
         assert "theta" in result.output
         assert "-4*t - 28 - 4*t^-1" in result.output
 
+    def test_spine_with_tinv_json_carries_theta(self):
+        result = invoke(
+            "invariants", "--spine", "0,0,0", "--tinv", "0,0,0,1", "--json"
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["theta"] == {"-1": "-4", "0": "-28", "1": "-4"}
+        assert doc["verdict"] == "Inconclusive"
+
     def test_requires_exactly_one_source(self):
         assert invoke("invariants").exit_code == 2
         assert (
@@ -63,6 +73,7 @@ class TestInvariants:
             ("obstruct", "--seifert", "-1,1;0,-1", "--jones", "t^^2"),
             ("obstruct", "--seifert", "-1,1;0,-1", "--jones", "1/0*t"),
             ("invariants", "--pd", "X(1,2,3)"),
+            ("obstruct", "--seifert", "-1,1;0,-1", "--jones", "0"),
         ],
     )
     def test_malformed_option_values_exit_2(self, args):
@@ -70,6 +81,18 @@ class TestInvariants:
         assert result.exit_code == 2
         assert "error:" in result.stderr
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_oversized_seifert_exits_2_at_once(self):
+        # dense 10x10 upper-triangular ones: det(V - V^T) = 1, and a
+        # cofactor expansion of it would take 10! terms
+        text = ";".join(
+            ",".join("1" if j >= i else "0" for j in range(10)) for i in range(10)
+        )
+        start = time.perf_counter()
+        result = invoke("invariants", "--seifert", text)
+        assert time.perf_counter() - start < 2.0
+        assert result.exit_code == 2
+        assert "10x10 Seifert matrix exceeds the 8x8 cap" in result.stderr
 
     def test_tinv_without_spine_exits_2(self):
         result = invoke("invariants", "--pretzel", "1,1,1", "--tinv", "0,0,0,1")

@@ -5,6 +5,7 @@ import pytest
 from knotobstruct.diagram import PretzelParams, mirror, parse_pd, pretzel_pd
 from knotobstruct.errors import DiagramTooLarge
 from knotobstruct.kauffman import (
+    DELTA,
     TangleBracket,
     bracket_brute,
     bracket_twist,
@@ -54,6 +55,18 @@ class TestTwistTangle:
         back = twist_tangle(0)
         assert (t.coef_zero, t.coef_infinity) != (back.coef_zero, back.coef_infinity)
         assert twist_tangle(-3).coef_zero * t.coef_zero == LaurentPoly.one()
+
+    def test_skein_step(self):
+        # one positive half-twist: (alpha, beta) ->
+        # (A^-1 alpha, A alpha + (A^-1 + A delta) beta)
+        a, a_inv = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
+        for n in range(-40, 41):
+            t = twist_tangle(n)
+            stepped = TangleBracket(
+                a_inv * t.coef_zero,
+                a * t.coef_zero + (a_inv + a * DELTA) * t.coef_infinity,
+            )
+            assert stepped == twist_tangle(n + 1), n
 
 
 class TestBracketTwist:

@@ -3,8 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from knotobstruct.diagram import PretzelParams, parse_pd
 from knotobstruct.errors import NonNormalizable
+from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly, parse_laurent
+from knotobstruct.seifert import GenusOneSpine, SeifertMatrix, alexander_from_seifert
+from knotobstruct.twoloop import TangleInvariants, reduced_two_loop
 
 T = LaurentPoly.var()
 TINV = LaurentPoly({-1: 1})
@@ -152,3 +156,27 @@ class TestTextForm:
     def test_parse_garbage(self):
         with pytest.raises(ValueError):
             parse_laurent("t + spam")
+
+
+def _coeff_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+class TestCoefficientTypes:
+    """Integers stay integers; Fraction enters only with a real denominator."""
+
+    def test_integer_invariants_are_int(self):
+        trefoil = parse_pd("X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)")
+        for p in (
+            jones(trefoil),
+            jones(PretzelParams(5, 7, -3)),
+            alexander_from_seifert(SeifertMatrix([[-1, 1], [0, -1]])),
+            alexander_from_seifert(SeifertMatrix([[1, 1, 0, 0], [0, 1, 0, 0],
+                                                  [0, 0, -1, 1], [0, 0, 0, -1]])),
+        ):
+            assert _coeff_types(p) == {int}
+
+    def test_real_denominators_stay_fraction(self):
+        assert _coeff_types(parse_laurent("1/2*t")) == {Fraction}
+        theta = reduced_two_loop(GenusOneSpine(0, 0, 0), TangleInvariants(v3=1))
+        assert _coeff_types(theta) == {Fraction}

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from knotobstruct.diagram import PretzelParams
-from knotobstruct.errors import ValidationError
+from knotobstruct.errors import DiagramTooLarge, ValidationError
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.seifert import (
+    MAX_SEIFERT_SIZE,
     GenusOneSpine,
     SeifertMatrix,
     alexander_from_seifert,
@@ -24,6 +25,14 @@ FIG8_V = SeifertMatrix([[1, 1], [0, -1]])
 TREFOIL_DELTA = LaurentPoly({1: 1, 0: -1, -1: 1})
 
 
+def trefoil_sum(k):
+    """Block-diagonal Seifert matrix of the connected sum of k trefoils."""
+    return SeifertMatrix(
+        [[TREFOIL_V.rows[i % 2][j % 2] if i // 2 == j // 2 else 0
+          for j in range(2 * k)] for i in range(2 * k)]
+    )
+
+
 class TestSeifertMatrix:
     def test_valid_construction(self):
         assert TREFOIL_V.size == 2
@@ -33,6 +42,11 @@ class TestSeifertMatrix:
             SeifertMatrix([[1, 0], [0, 1]])  # det(V - V^T) = 0
         with pytest.raises(ValidationError):
             SeifertMatrix([[1, 2], [3]])
+
+    def test_size_cap(self):
+        assert trefoil_sum(MAX_SEIFERT_SIZE // 2).size == MAX_SEIFERT_SIZE
+        with pytest.raises(DiagramTooLarge):
+            trefoil_sum(MAX_SEIFERT_SIZE // 2 + 1)
 
     def test_empty_matrix_is_unknot(self):
         v = SeifertMatrix([])
@@ -49,8 +63,8 @@ class TestAlexander:
         assert alexander_from_seifert(FIG8_V) == LaurentPoly({1: -1, 0: 3, -1: -1})
 
     def test_genus_two_matrix(self):
-        # connected sum of two trefoils via block Seifert matrix
-        v = SeifertMatrix(
+        # connected sums of two and of three trefoils via block Seifert matrices
+        assert trefoil_sum(2) == SeifertMatrix(
             [
                 [-1, 1, 0, 0],
                 [0, -1, 0, 0],
@@ -58,7 +72,8 @@ class TestAlexander:
                 [0, 0, 0, -1],
             ]
         )
-        assert alexander_from_seifert(v) == TREFOIL_DELTA * TREFOIL_DELTA
+        for k in (2, 3):
+            assert alexander_from_seifert(trefoil_sum(k)) == TREFOIL_DELTA ** k
 
 
 class TestSpine:
