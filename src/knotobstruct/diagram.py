@@ -21,14 +21,13 @@ Quad = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class PDCode:
-    """Crossing list plus a count of crossing-free circle components.
+    """Crossing list of a knot diagram; no crossings is the round unknot.
 
     Construction validates (see validate_pd), so every PDCode is a
     single oriented knot diagram.
     """
 
     crossings: tuple[Quad, ...]
-    free_loops: int = 0
 
     def __post_init__(self):
         validate_pd(self)
@@ -36,6 +35,10 @@ class PDCode:
     @property
     def n(self) -> int:
         return len(self.crossings)
+
+    @property
+    def free_loops(self) -> int:  # crossing-free circles: 1 for the round unknot
+        return 0 if self.crossings else 1
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,10 @@ class PretzelParams:
 _X_RE = re.compile(r"^X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
-def parse_pd(text: str, free_loops: int | None = None) -> PDCode:
+def parse_pd(text: str) -> PDCode:
     """Parse `X(a,b,c,d)` items separated by `;` into a (validated) PDCode.
 
-    An empty string parses to the crossingless unknot (free_loops
-    defaults to 1 in that case, to 0 otherwise).
+    An empty string parses to the crossingless unknot.
     """
     chunks = [c.strip() for c in text.split(";") if c.strip()]
     quads = []
@@ -71,9 +73,7 @@ def parse_pd(text: str, free_loops: int | None = None) -> PDCode:
         if not m:
             raise PDSyntaxError(f"malformed PD token: {chunk!r}")
         quads.append(tuple(int(g) for g in m.groups()))
-    if free_loops is None:
-        free_loops = 1 if not quads else 0
-    return PDCode(tuple(quads), free_loops)
+    return PDCode(tuple(quads))
 
 
 def render_pd(pd: PDCode) -> str:
@@ -83,17 +83,10 @@ def render_pd(pd: PDCode) -> str:
 def validate_pd(pd: PDCode) -> None:
     """Check label multiplicities and reconstruct the knot's orientation.
 
-    Raises ValidationError for bad label sets, diagrams whose labels do
-    not trace out a single oriented component, or a negative free-loop
-    count.
+    Raises ValidationError for bad label sets or diagrams whose labels
+    do not trace out a single oriented component.
     """
-    if pd.free_loops < 0:
-        raise ValidationError("free_loops must be nonnegative")
     n = pd.n
-    if n == 0:
-        if pd.free_loops == 0:
-            raise ValidationError("empty diagram: no crossings and no free loops")
-        return
     counts: dict[int, int] = {}
     for quad in pd.crossings:
         for e in quad:
@@ -102,7 +95,8 @@ def validate_pd(pd: PDCode) -> None:
         raise ValidationError(
             f"edge labels must be 1..{2*n}, each appearing exactly twice"
         )
-    _traverse(pd)
+    if n:
+        _traverse(pd)
 
 
 def _occurrences(pd: PDCode) -> dict[int, list[tuple[int, int]]]:
@@ -199,7 +193,7 @@ def mirror(pd: PDCode) -> PDCode:
             out.append((b, c, d, a))  # incoming over-strand edge is b
         else:
             out.append((d, a, b, c))
-    return PDCode(tuple(out), pd.free_loops)
+    return PDCode(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -290,4 +284,4 @@ def pretzel_pd(params: PretzelParams) -> PDCode:
             s3 = _CCW[s2]
             quads.append(tuple(label[(ci, s)] for s in (s0, s1, s2, s3)))
 
-    return PDCode(tuple(quads), 0)
+    return PDCode(tuple(quads))

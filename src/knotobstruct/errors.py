@@ -6,7 +6,8 @@ class KnotObstructError(Exception):
 
 
 class InputSyntaxError(KnotObstructError):
-    """Malformed input text: an option value or a batch row's payload."""
+    """Malformed or unreadable input: an option value, a batch file or a
+    batch row's payload."""
 
 
 class PDSyntaxError(InputSyntaxError):

@@ -1,7 +1,7 @@
 """Kauffman bracket and Jones polynomial.
 
 Two engines: a brute-force state sum over all 2^n smoothings (the trusted
-oracle, capped at 20 crossings by default) and a twist-region route that
+oracle, capped at BRUTE_CAP = 20 crossings) and a twist-region route that
 handles pretzel knots of any size by closing up three twist tangles, each
 given in closed form.  Both work in the bracket variable A; the Jones
 polynomial comes from the writhe-corrected bracket under t = A^-4.
@@ -18,28 +18,26 @@ from .laurent import LaurentPoly
 #: loop value delta = -A^2 - A^-2
 DELTA = LaurentPoly({2: -1, -2: -1})
 
-DEFAULT_BRUTE_CAP = 20
+#: most crossings the brute-force state sum accepts (2^20 states)
+BRUTE_CAP = 20
 
 
-def bracket_brute(
-    pd: PDCode, cap: int = DEFAULT_BRUTE_CAP, swap_smoothings: bool = False
-) -> LaurentPoly:
+def bracket_brute(pd: PDCode) -> LaurentPoly:
     """Kauffman bracket by summation over all 2^n smoothing states.
 
     The A-smoothing of a crossing (a,b,c,d) joins a-d and b-c, the
     B-smoothing joins a-b and c-d (the pairing that reproduces the
-    trefoil oracle's bracket).  `swap_smoothings` deliberately flips the
-    pairing; it exists only so the selftest can demonstrate that the
-    trefoil oracle catches a broken convention.
+    trefoil oracle's bracket).  Swapping the two everywhere would give
+    the mirror's bracket <D>(A^-1), which the trefoil oracle tells apart.
     """
     n = pd.n
-    if n > cap:
+    if n > BRUTE_CAP:
         raise DiagramTooLarge(
-            f"{n} crossings exceeds the brute-force cap {cap}; "
+            f"{n} crossings exceeds the brute-force cap {BRUTE_CAP}; "
             "use the twist-region method for pretzel inputs"
         )
     if n == 0:
-        return _delta_power(pd.free_loops - 1)
+        return LaurentPoly.one()  # the crossingless unknot
 
     m = 2 * n
     a_pairs = []
@@ -47,8 +45,6 @@ def bracket_brute(
     for a, b, c, d in pd.crossings:
         a_pairs.append(((a - 1, d - 1), (b - 1, c - 1)))
         b_pairs.append(((a - 1, b - 1), (c - 1, d - 1)))
-    if swap_smoothings:
-        a_pairs, b_pairs = b_pairs, a_pairs
 
     # tally states by (#B-smoothings, #loops); the polynomial assembly
     # afterwards touches only the few dozen distinct tallies
@@ -75,14 +71,8 @@ def bracket_brute(
     result = LaurentPoly()
     for (nb, loops), cnt in sorted(tally.items()):
         term = LaurentPoly.monomial(cnt, n - 2 * nb)
-        result = result + term * _delta_power(loops - 1 + pd.free_loops)
+        result = result + term * DELTA ** (loops - 1)
     return result
-
-
-def _delta_power(k: int) -> LaurentPoly:
-    if k < 0:
-        raise ValueError("negative delta power (no loops at all?)")
-    return DELTA ** k
 
 
 class TangleBracket:
@@ -147,13 +137,11 @@ def bracket_twist(params: PretzelParams) -> LaurentPoly:
             else:
                 coefs = coefs * t.coef_zero
         loops = {0: 3, 1: 2, 2: 1, 3: 2}[horiz]
-        result = result + coefs * _delta_power(loops - 1)
+        result = result + coefs * DELTA ** (loops - 1)
     return result
 
 
-def jones(
-    diagram: PDCode | PretzelParams, cap: int = DEFAULT_BRUTE_CAP
-) -> LaurentPoly:
+def jones(diagram: PDCode | PretzelParams) -> LaurentPoly:
     """Jones polynomial V(t) = (-A^3)^(-w) <D> under t = A^-4.
 
     Pretzel parameters use the closed-form twist route; PD codes the brute
@@ -170,7 +158,7 @@ def jones(
         br = bracket_twist(diagram)
     else:
         w = writhe(diagram)
-        br = bracket_brute(diagram, cap=cap)
+        br = bracket_brute(diagram)
     f = br.shift(-3 * w)
     if w % 2:
         f = -f

@@ -2,10 +2,10 @@
 
 Polynomials are stored as {exponent: coefficient} maps with no zero
 coefficients, so map equality is polynomial equality.  Coefficients are
-kept as given: integer input stays `int` through every ring operation,
-and `Fraction` enters only with a real denominator (a parsed `a/b`, a
-rational scale factor) or through `evaluate`.  Everything is immutable
-and pure; no floating point enters anywhere.
+kept as given: integer input stays `int` through every ring operation
+and through `evaluate` at t = +-1, and `Fraction` enters only with a real
+denominator (a parsed `a/b`, a rational scale factor, another point).
+Everything is immutable and pure; no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -157,8 +157,13 @@ class LaurentPoly:
 
     # -- calculus and evaluation ------------------------------------------
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value sum(c_e * x^e).  x must be nonzero."""
+    def evaluate(self, x: Scalar) -> Scalar:
+        """Exact value sum(c_e * x^e), x nonzero; at x = +-1 a plain sum of
+        the coefficients (an int for int ones), elsewhere a Fraction."""
+        if x == 1:
+            return sum(self._terms.values())
+        if x == -1:
+            return sum(-c if e % 2 else c for e, c in self._terms.items())
         x = Fraction(x)
         if not x:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
@@ -205,7 +210,7 @@ class LaurentPoly:
 
     # -- text form ---------------------------------------------------------
 
-    def render(self, var: str = "t") -> str:
+    def render(self) -> str:
         """Terms sorted by descending exponent, exact fractions as num/den."""
         if not self._terms:
             return "0"
@@ -216,9 +221,9 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             elif e == 1:
-                body = f"{mag}*{var}"
+                body = f"{mag}*t"
             else:
-                body = f"{mag}*{var}^{e}"
+                body = f"{mag}*t^{e}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -230,12 +235,12 @@ class LaurentPoly:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>-?\d+(?:/\d+)?)(?:\*(?P<var1>[A-Za-z])(?:\^(?P<exp1>-?\d+))?)?"
-    r"|(?P<var2>[A-Za-z])(?:\^(?P<exp2>-?\d+))?)$"
+    r"^(?:(?P<coeff>-?\d+(?:/\d+)?)(?:\*(?P<var1>t)(?:\^(?P<exp1>-?\d+))?)?"
+    r"|(?P<var2>t)(?:\^(?P<exp2>-?\d+))?)$"
 )
 
 
-def parse_laurent(text: str, var: str = "t") -> LaurentPoly:
+def parse_laurent(text: str) -> LaurentPoly:
     """Parse the render() grammar (also accepts bare `t` and `c*t`)."""
     s = text.strip()
     if not s or s == "0":
@@ -258,8 +263,6 @@ def parse_laurent(text: str, var: str = "t") -> LaurentPoly:
         else:
             coeff = Fraction(m.group("coeff"))
             v, exp = m.group("var1"), m.group("exp1")
-        if v is not None and v != var:
-            raise ValueError(f"unexpected variable {v!r}, wanted {var!r}")
         e = int(exp) if exp is not None else (1 if v is not None else 0)
         if neg:
             coeff = -coeff

@@ -53,7 +53,7 @@ def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
     vm1 = jones_poly.evaluate(-1)
     if vm1 == 0:
         raise PreconditionViolation("V(-1) = 0: not a knot Jones polynomial")
-    return -jones_poly.derivative().evaluate(-1) / (6 * vm1) + Fraction(sigma, 4)
+    return Fraction(-jones_poly.derivative().evaluate(-1), 6 * vm1) + Fraction(sigma, 4)
 
 
 def obstruction_value(
@@ -108,17 +108,12 @@ class ObstructionReport:
         return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
 
 
-def _strict_default() -> bool:
-    return os.environ.get("KNOTOBSTRUCT_STRICT", "") == "1"
-
-
 def cosmetic_verdict(
     pretzel: PretzelParams | None = None,
     pd: PDCode | None = None,
     seifert: SeifertMatrix | None = None,
     spine: GenusOneSpine | None = None,
     jones_poly: LaurentPoly | None = None,
-    strict: bool | None = None,
 ) -> ObstructionReport:
     """Run the cosmetic-crossing decision procedure for a genus-one knot.
 
@@ -127,11 +122,10 @@ def cosmetic_verdict(
     (optionally with a precomputed Jones polynomial).  Genus-one status
     is the caller's assertion.  The Alexander polynomial is computed
     once from the Seifert matrix; the determinant is its |Delta(-1)|.
-    In strict mode a |V(-1)| vs |Delta(-1)| mismatch raises
-    InconsistentInput; otherwise it is recorded as a note.
+    With KNOTOBSTRUCT_STRICT=1 in the environment a |V(-1)| vs
+    |Delta(-1)| mismatch raises InconsistentInput; otherwise it is
+    recorded as a note.
     """
-    if strict is None:
-        strict = _strict_default()
     notes: list[str] = []
 
     if pretzel is not None:
@@ -154,7 +148,7 @@ def cosmetic_verdict(
     alex = det = sigma = None
     if seifert is not None:
         alex = alexander_from_seifert(seifert)
-        det = int(abs(alex.evaluate(-1)))
+        det = abs(alex.evaluate(-1))
         sigma = signature(seifert)
 
     w3v = lam = th1 = thm1 = ob = None
@@ -176,7 +170,7 @@ def cosmetic_verdict(
                     f"|V(-1)| = {jdet} disagrees with |Delta(-1)| = {det}: "
                     "inconsistent diagram/matrix pair"
                 )
-                if strict:
+                if os.environ.get("KNOTOBSTRUCT_STRICT") == "1":
                     raise InconsistentInput(msg)
                 notes.append(msg)
 

@@ -10,7 +10,6 @@ ell +- 1 entry; d = n*m - ell^2 - ell.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 
 from .diagram import PretzelParams
@@ -126,18 +125,16 @@ def alexander_genus_one(s: GenusOneSpine) -> LaurentPoly:
 
 
 def signature(V: SeifertMatrix) -> int:
-    """Signature of V + V^T by exact symmetric congruence diagonalization.
+    """Signature of V + V^T by symmetric congruence diagonalization.
 
-    Rational pivots throughout; a zero diagonal pivot with a nonzero
-    off-diagonal partner is cured by adding the partner row and column,
-    which keeps the congruence class and never leaves the rationals.
+    Row and column j are cleared as p * (row j) - m[j][i] * (pivot row),
+    and likewise for columns: an invertible congruence, so the inertia is
+    kept (Sylvester's law) without dividing.  A zero pivot is cured by a
+    swap, or by adding a partner row and column with a nonzero entry.
     """
     n = V.size
     vt = V.transpose()
-    m = [
-        [Fraction(V.rows[i][j] + vt[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
+    m = [[V.rows[i][j] + vt[i][j] for j in range(n)] for i in range(n)]
     pos = neg = 0
     for i in range(n):
         if m[i][i] == 0:
@@ -160,20 +157,18 @@ def signature(V: SeifertMatrix) -> int:
         else:
             neg += 1
         for j in range(i + 1, n):
-            f = m[j][i] / piv
+            f = m[j][i]
             if f:
                 for k in range(i, n):
-                    m[j][k] -= f * m[i][k]
+                    m[j][k] = piv * m[j][k] - f * m[i][k]
                 for k in range(i, n):
-                    m[k][j] -= f * m[k][i]
+                    m[k][j] = piv * m[k][j] - f * m[k][i]
     return pos - neg
 
 
 def knot_determinant(V: SeifertMatrix) -> int:
     """|Delta(-1)|, the order of H_1 of the double branched cover."""
-    val = abs(alexander_from_seifert(V).evaluate(-1))
-    assert val.denominator == 1
-    return int(val)
+    return abs(alexander_from_seifert(V).evaluate(-1))
 
 
 def pretzel_seifert(params: PretzelParams) -> SeifertMatrix:

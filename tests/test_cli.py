@@ -4,7 +4,9 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from knotobstruct import selftest
 from knotobstruct.cli import main
+from knotobstruct.laurent import LaurentPoly
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 
@@ -231,7 +233,21 @@ class TestBatch:
     def test_bad_header(self, tmp_path):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("name,stuff\npretzel,x,1,1,1\n")
-        assert invoke("batch", "--input", str(csv_path)).exit_code != 0
+        result = invoke("batch", "--input", str(csv_path))
+        assert result.exit_code == 2
+        assert result.stderr == "error: CSV header must start with: kind,label\n"
+
+    @pytest.mark.parametrize("content", [
+        b"kind,label\npretzel,\xff,1,1,1\n",
+        b"kind,label\npd,big," + b"X" * 131073 + b"\n",
+        None,
+    ], ids=["not-utf8", "field-over-csv-limit", "directory"])
+    def test_unreadable_input_exits_2(self, tmp_path, content):
+        path = tmp_path / "in.csv"
+        path.mkdir() if content is None else path.write_bytes(content)
+        result = invoke("batch", "--input", str(path))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: --input ") and result.stderr.count("\n") == 1
 
 
 class TestSelftest:
@@ -246,7 +262,8 @@ class TestSelftest:
         assert result.exit_code == 0
         assert "trefoil" in result.output
 
-    def test_flip_smoothing_fails(self):
-        result = invoke("selftest", "--suite", "trefoil", "--flip-smoothing")
-        assert result.exit_code != 0
-        assert "FAIL" in result.output
+    def test_failure_names_the_input(self, monkeypatch):
+        monkeypatch.setattr(selftest, "bracket_twist", lambda params: LaurentPoly.one())
+        result = invoke("selftest", "--suite", "bracket")
+        assert result.exit_code == 1
+        assert "FAIL  bracket_twist != bracket_brute at PretzelParams(" in result.output

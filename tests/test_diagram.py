@@ -11,6 +11,7 @@ from knotobstruct.diagram import (
 )
 from knotobstruct.errors import PDSyntaxError, ValidationError
 from knotobstruct.kauffman import jones
+from knotobstruct.selftest import pretzels
 
 TREFOIL = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 
@@ -62,9 +63,10 @@ class TestPDCodeType:
         with pytest.raises(ValidationError):
             PDCode(((1, 1, 1, 2),))
 
-    def test_direct_construction_rejects_negative_free_loops(self):
-        with pytest.raises(ValidationError):
-            PDCode((), -1)
+    def test_no_crossings_is_unknot(self):
+        pd = PDCode(())
+        assert pd == parse_pd("") and pd.free_loops == 1
+        assert jones(pd) == 1
 
 
 class TestPretzelParams:
@@ -89,13 +91,8 @@ class TestWrithe:
 
     def test_pretzel_writhe_is_parameter_sum(self):
         # the twist route of jones() relies on this; same corpus as gate 4
-        odd = [x for x in range(-13, 14) if x % 2]
-        for p in odd:
-            for q in odd:
-                for r in odd:
-                    if abs(p) + abs(q) + abs(r) <= 13:
-                        pd = pretzel_pd(PretzelParams(p, q, r))
-                        assert writhe(pd) == p + q + r
+        for params in pretzels(13):
+            assert writhe(pretzel_pd(params)) == sum(params.as_tuple())
 
     def test_mirror_negates(self):
         for text in [TREFOIL, "X(1,1,2,2)"]:

@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from knotobstruct.diagram import PretzelParams, mirror, parse_pd, pretzel_pd
@@ -13,12 +11,10 @@ from knotobstruct.kauffman import (
     twist_tangle,
 )
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.seifert import alexander_from_seifert, pretzel_seifert
+from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD
 
-TREFOIL = parse_pd("X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)")
+TREFOIL = parse_pd(TREFOIL_PD)
 FIG8 = parse_pd("X(4,2,5,1); X(8,6,1,5); X(6,3,7,4); X(2,7,3,8)")
-TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
-TREFOIL_JONES = LaurentPoly({4: -1, 3: 1, 1: 1})
 
 
 class TestBracketBrute:
@@ -33,11 +29,18 @@ class TestBracketBrute:
         assert bracket_brute(parse_pd("X(1,2,2,1)")) == LaurentPoly({3: -1})
 
     def test_cap(self):
+        pd = pretzel_pd(PretzelParams(9, 9, 3))
+        assert pd.n == 21
         with pytest.raises(DiagramTooLarge):
-            bracket_brute(pretzel_pd(PretzelParams(5, 5, -3)), cap=10)
+            bracket_brute(pd)
 
-    def test_swap_smoothings_tripwire(self):
-        assert bracket_brute(TREFOIL, swap_smoothings=True) != TREFOIL_BRACKET
+    def test_mirror_tripwire(self):
+        # swapping every A- and B-smoothing gives the mirror's bracket
+        # <D>(A^-1), which the chiral trefoil's oracle bracket tells apart
+        pretzels = [pretzel_pd(PretzelParams(*t)) for t in [(3, 5, -1), (3, -5, 7)]]
+        for pd in [TREFOIL, FIG8, parse_pd("X(1,1,2,2)")] + pretzels:
+            assert bracket_brute(mirror(pd)) == bracket_brute(pd).substitute_power(-1)
+        assert bracket_brute(mirror(TREFOIL)) != TREFOIL_BRACKET
 
 
 class TestTwistTangle:
@@ -83,14 +86,6 @@ class TestBracketTwist:
         (e, c), = terms.items()
         assert e % 3 == 0 and c in (1, -1)
 
-    def test_oracle_equivalence_small(self):
-        odd = [v for v in range(-7, 8) if v % 2]
-        for p, q, r in product(odd, odd, odd):
-            if abs(p) + abs(q) + abs(r) > 9:
-                continue
-            params = PretzelParams(p, q, r)
-            assert bracket_twist(params) == bracket_brute(pretzel_pd(params))
-
     def test_large_pretzel_fast(self):
         br = bracket_twist(PretzelParams(9, 11, -5))
         assert not br.is_zero()
@@ -125,13 +120,6 @@ class TestJones:
         for pd in diagrams:
             assert jones(pd).evaluate(1) == 1
         assert jones(PretzelParams(9, 11, -5)).evaluate(1) == 1
-
-    def test_determinant_consistency(self):
-        for p, q, r in [(1, 1, 1), (3, 5, -1), (3, -5, 7), (5, 7, -3)]:
-            params = PretzelParams(p, q, r)
-            v = jones(params)
-            delta = alexander_from_seifert(pretzel_seifert(params))
-            assert abs(v.evaluate(-1)) == abs(delta.evaluate(-1))
 
     def test_pretzel_params_route_matches_pd_route(self):
         for p, q, r in [(1, 1, 1), (-1, -1, -1), (3, 5, -1)]:

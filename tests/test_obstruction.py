@@ -126,13 +126,15 @@ class TestCosmeticVerdict:
         assert report.jones is None
         assert report.verdict == "Inconclusive"
 
-    def test_strict_mode_catches_mismatch(self):
+    def test_strict_mode_catches_mismatch(self, monkeypatch):
         pd = parse_pd("X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)")
         fig8_matrix = SeifertMatrix([[1, 1], [0, -1]])
-        with pytest.raises(InconsistentInput):
-            cosmetic_verdict(pd=pd, seifert=fig8_matrix, strict=True)
-        report = cosmetic_verdict(pd=pd, seifert=fig8_matrix, strict=False)
+        monkeypatch.delenv("KNOTOBSTRUCT_STRICT", raising=False)
+        report = cosmetic_verdict(pd=pd, seifert=fig8_matrix)
         assert any("disagrees" in n for n in report.notes)
+        monkeypatch.setenv("KNOTOBSTRUCT_STRICT", "1")
+        with pytest.raises(InconsistentInput):
+            cosmetic_verdict(pd=pd, seifert=fig8_matrix)
 
     def test_random_nontrivial_alexander(self):
         rng = random.Random(17)

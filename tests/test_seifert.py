@@ -9,6 +9,7 @@ from knotobstruct.seifert import (
     MAX_SEIFERT_SIZE,
     GenusOneSpine,
     SeifertMatrix,
+    _det,
     alexander_from_seifert,
     alexander_genus_one,
     crossing_change,
@@ -155,6 +156,34 @@ class TestSignature:
             if det_p == -1:
                 continue  # P^T V P is Seifert only for det +1 under our check
             assert signature(SeifertMatrix(pv)) == sig
+
+
+class TestSympyOracle:
+    """sympy checks _det and signature on sizes 3-8, the only ones that
+    reach the general cofactor path and both zero-pivot cures."""
+
+    def test_det(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(13)
+        for size in [3, 4, 5, 6, 7, 8] * 5:
+            m = [[rng.choice([0, 0, 1, -1, 3]) for _ in range(size)] for _ in range(size)]
+            assert _det(m) == sympy.Matrix(m).det(), m
+
+    def test_signature(self):
+        # a knot's Seifert matrix has even size; here V - V^T is the
+        # standard symplectic form and V + V^T a random symmetric matrix
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1)
+        for size in [4, 6, 8] * 20:
+            rows = [[0] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i, size):
+                    rows[i][j] = rows[j][i] = rng.choice([0, 0, 1, -1, 2])
+                if i % 2 == 0:
+                    rows[i][i + 1] += 1
+            form = sympy.Matrix(rows) + sympy.Matrix(rows).T
+            signs = [1 if e.is_positive else -1 for e in sympy.real_roots(form.charpoly())]
+            assert signature(SeifertMatrix(rows)) == sum(signs), rows
 
 
 class TestPretzelSeifert:
