@@ -1,7 +1,8 @@
 """Exact knot invariants and cosmetic-crossing obstructions for genus-one knots."""
 
 from .diagram import PDCode, PretzelParams, mirror, parse_pd, pretzel_pd, render_pd, writhe
-from .kauffman import TangleBracket, bracket_brute, bracket_twist, jones, twist_tangle
+from .kauffman import (TangleBracket, bracket_brute, bracket_contract, bracket_twist,
+                       jones, twist_tangle)
 from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
     ObstructionReport,
@@ -46,6 +47,7 @@ __all__ = [
     "alexander_from_seifert",
     "alexander_genus_one",
     "bracket_brute",
+    "bracket_contract",
     "bracket_twist",
     "constraint_solutions",
     "constraint_solutions_rational",

@@ -20,8 +20,9 @@ class ValidationError(KnotObstructError):
 
 class DiagramTooLarge(KnotObstructError):
     """Input over a size cap of an exhaustive computation: the brute-force
-    state sum (use the twist-region method) or a Seifert matrix's
-    cofactor determinants."""
+    state sum's 20 crossings, the contraction engine's open-boundary
+    width (raised from the crossing order alone, before any state work),
+    or a Seifert matrix's 8x8 for its cofactor determinants."""
 
 
 class NormalizationError(KnotObstructError):

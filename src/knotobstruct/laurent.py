@@ -241,13 +241,16 @@ _TERM_RE = re.compile(
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the render() grammar (also accepts bare `t` and `c*t`)."""
+    """Parse the render() grammar (also accepts bare `t` and `c*t`).
+
+    Integer coefficients stay `int`; only an `a/b` one is a Fraction.
+    """
     s = text.strip()
     if not s or s == "0":
         return LaurentPoly()
     # split into signed terms at top level; a '-' after '^' is an exponent sign
     s = re.sub(r"(?<!\^)-", "+-", s)
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, Scalar] = {}
     for raw in s.split("+"):
         raw = raw.strip()
         if not raw:
@@ -259,14 +262,15 @@ def parse_laurent(text: str) -> LaurentPoly:
         if not m:
             raise ValueError(f"bad Laurent term: {raw!r}")
         if m.group("var2") is not None:
-            v, exp, coeff = m.group("var2"), m.group("exp2"), Fraction(1)
+            v, exp, coeff = m.group("var2"), m.group("exp2"), 1
         else:
-            coeff = Fraction(m.group("coeff"))
+            text = m.group("coeff")
+            coeff = Fraction(text) if "/" in text else int(text)
             v, exp = m.group("var1"), m.group("exp1")
         e = int(exp) if exp is not None else (1 if v is not None else 0)
         if neg:
             coeff = -coeff
-        terms[e] = terms.get(e, Fraction(0)) + coeff
+        terms[e] = terms.get(e, 0) + coeff
     return LaurentPoly(terms)
 
 

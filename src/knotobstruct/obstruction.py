@@ -16,7 +16,7 @@ from fractions import Fraction
 from .diagram import PDCode, PretzelParams
 from .errors import InconsistentInput, PreconditionViolation
 from .kauffman import jones
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Scalar
 from .seifert import (
     GenusOneSpine,
     SeifertMatrix,
@@ -47,26 +47,37 @@ def w3(jones_poly: LaurentPoly) -> Fraction:
     return Fraction(1, 36) * v3 + Fraction(1, 12) * v2
 
 
+def _at_minus_one(jones_poly: LaurentPoly) -> tuple[Scalar, Scalar]:
+    """(V(-1), V'(-1)), which Theta(-1), lambda_w and |V(-1)| all read."""
+    return jones_poly.evaluate(-1), jones_poly.derivative().evaluate(-1)
+
+
+def _lambda_w(vm1: Scalar, dvm1: Scalar, sigma: int) -> Fraction:
+    if vm1 == 0:
+        raise PreconditionViolation("V(-1) = 0: not a knot Jones polynomial")
+    return Fraction(-dvm1, 6 * vm1) + Fraction(sigma, 4)
+
+
+def _thetas(
+    w3v: Fraction, vm1: Scalar, dvm1: Scalar
+) -> tuple[Fraction, Fraction, Fraction]:
+    theta1 = 2 * w3v
+    theta_m1 = -Fraction(1, 12) * dvm1 * vm1
+    return theta1, theta_m1, theta_m1 - theta1
+
+
 def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
     """Casson-Walker invariant of the double branched cover
     (Mullins): -V'(-1)/(6 V(-1)) + sigma/4."""
-    vm1 = jones_poly.evaluate(-1)
-    if vm1 == 0:
-        raise PreconditionViolation("V(-1) = 0: not a knot Jones polynomial")
-    return Fraction(-jones_poly.derivative().evaluate(-1), 6 * vm1) + Fraction(sigma, 4)
+    return _lambda_w(*_at_minus_one(jones_poly), sigma)
 
 
 def obstruction_value(
     jones_poly: LaurentPoly,
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone."""
-    theta1 = 2 * w3(jones_poly)
-    theta_m1 = (
-        -Fraction(1, 12)
-        * jones_poly.derivative().evaluate(-1)
-        * jones_poly.evaluate(-1)
-    )
-    return theta1, theta_m1, theta_m1 - theta1
+    """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone:
+    Theta(1) = 2 w3 and Theta(-1) = -(1/12) V'(-1) V(-1)."""
+    return _thetas(w3(jones_poly), *_at_minus_one(jones_poly))
 
 
 def _mod16_nonzero(ob: Fraction) -> bool:
@@ -158,13 +169,14 @@ def cosmetic_verdict(
         if w3v.denominator != 1:
             notes.append(f"w3 = {w3v} is not an integer: input is likely "
                          "not a knot Jones polynomial")
-        th1, thm1, ob = obstruction_value(jp)
+        vm1, dvm1 = _at_minus_one(jp)
+        th1, thm1, ob = _thetas(w3v, vm1, dvm1)
         mod16 = _mod16_nonzero(ob)
         notes.append(_LAMBDA_NOTE)
         if sigma is not None:
-            lam = mullins_lambda_w(jp, sigma)
+            lam = _lambda_w(vm1, dvm1, sigma)
         if det is not None:
-            jdet = abs(jp.evaluate(-1))
+            jdet = abs(vm1)
             if jdet != det:
                 msg = (
                     f"|V(-1)| = {jdet} disagrees with |Delta(-1)| = {det}: "

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from .diagram import PretzelParams, mirror, parse_pd, pretzel_pd
-from .kauffman import bracket_brute, bracket_twist, jones
+from .kauffman import bracket_brute, bracket_contract, bracket_twist, jones
 from .laurent import LaurentPoly
 from .obstruction import VERDICT_MOD16, cosmetic_verdict, pretzel_family
 from .seifert import GenusOneSpine, m_forcing_check, pretzel_alexander_coeff
@@ -31,9 +31,13 @@ def suite_trefoil() -> str | None:
     """
     pd = parse_pd(TREFOIL_PD)
     mirrored = TREFOIL_BRACKET.substitute_power(-1)
-    for name, got, want in [("bracket", bracket_brute(pd), TREFOIL_BRACKET),
-                            ("mirror bracket", bracket_brute(mirror(pd)), mirrored),
-                            ("Jones polynomial", jones(pd), TREFOIL_JONES)]:
+    for name, got, want in [
+        ("bracket", bracket_brute(pd), TREFOIL_BRACKET),
+        ("mirror bracket", bracket_brute(mirror(pd)), mirrored),
+        ("contracted bracket", bracket_contract(pd), TREFOIL_BRACKET),
+        ("contracted mirror bracket", bracket_contract(mirror(pd)), mirrored),
+        ("Jones polynomial", jones(pd), TREFOIL_JONES),
+    ]:
         if got != want:
             return f"trefoil {name} {got.render()} != {want.render()}"
     return None
@@ -48,10 +52,20 @@ def pretzels(max_total: int):
 
 
 def suite_bracket(max_total: int = 9) -> str | None:
-    """Twist-region brackets agree with the brute-force state sum."""
+    """The twist route, contraction of pretzel_pd and the brute-force state
+    sum give one bracket; a failure names the engine out of line."""
     for params in pretzels(max_total):
-        if bracket_twist(params) != bracket_brute(pretzel_pd(params)):
-            return f"bracket_twist != bracket_brute at {params}"
+        pd = pretzel_pd(params)
+        got = {"bracket_twist": bracket_twist(params),
+               "bracket_contract": bracket_contract(pd),
+               "bracket_brute": bracket_brute(pd)}
+        values = list(got.values())
+        if len(set(values)) == 3:
+            return f"{', '.join(got)} all differ at {params}"
+        odd = [name for name, v in got.items() if values.count(v) == 1]
+        if odd:
+            agree = [name for name, v in got.items() if v != got[odd[0]]]
+            return f"{odd[0]} != {agree[-1]} at {params}"
     return None
 
 

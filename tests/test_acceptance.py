@@ -70,11 +70,11 @@ def test_criterion_2_jones_route_k1():
     params = PretzelParams(5, 7, -3)
     pd = pretzel_pd(params)
     assert pd.n == 15
-    with _Gate(2, "brute-force bracket at k=1 (15 crossings)", 10.0):
-        v_brute = jones(pd)
+    with _Gate(2, "contracted PD bracket at k=1 (15 crossings)", 10.0):
+        v_pd = jones(pd)
     with _Gate(2, "twist-method bracket at k=1", 0.1):
         v_twist = jones(params)
-    assert v_brute == v_twist
+    assert v_pd == v_twist
     assert v_twist.evaluate(-1) == 1
     assert v_twist.derivative().evaluate(-1) == -48
     assert w3(v_twist) == 6
@@ -90,7 +90,7 @@ def test_criterion_3_jones_route_k2():
 
 
 def test_criterion_4_bracket_oracle_equivalence():
-    with _Gate(4, "bracket_twist == bracket_brute, |p|+|q|+|r| <= 13", 60.0):
+    with _Gate(4, "twist == contract == brute bracket, |p|+|q|+|r| <= 13", 60.0):
         assert suite_bracket(13) is None
 
 

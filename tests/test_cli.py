@@ -6,13 +6,52 @@ from click.testing import CliRunner
 
 from knotobstruct import selftest
 from knotobstruct.cli import main
+from knotobstruct.diagram import PDCode, PretzelParams, pretzel_pd, render_pd
+from knotobstruct.errors import DiagramTooLarge
+from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, bracket_contract,
+                                   contraction_order, jones)
 from knotobstruct.laurent import LaurentPoly
+from knotobstruct.obstruction import json_value
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 
 
 def invoke(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
+
+
+def braid_closure_pd(strands, word):
+    """PD code of the closure of a braid word; +i is sigma_i, -i its inverse.
+
+    Strands run downward; a crossing's incoming edges are its top-left and
+    top-right ones, and the over-strand of sigma_i runs top-left to
+    bottom-right.
+    """
+    top = list(range(strands))
+    cur = list(top)
+    raw = []  # (top-left, top-right, bottom-left, bottom-right, positive)
+    for g in word:
+        i = abs(g) - 1
+        bl = strands + 2 * len(raw)
+        br = bl + 1
+        raw.append([cur[i], cur[i + 1], bl, br, g > 0])
+        cur[i], cur[i + 1] = bl, br
+    close = {cur[p]: top[p] for p in range(strands)}
+    for x in raw:
+        x[2:4] = [close.get(e, e) for e in x[2:4]]
+    after = {}  # edge -> next edge along the knot
+    for tl, tr, bl, br, _ in raw:
+        after[tl], after[tr] = br, bl
+    label = {raw[0][0]: 1}
+    e = after[raw[0][0]]
+    while e not in label:
+        label[e] = len(label) + 1
+        e = after[e]
+    quads = []
+    for tl, tr, bl, br, positive in raw:
+        tl, tr, bl, br = label[tl], label[tr], label[bl], label[br]
+        quads.append((tr, tl, bl, br) if positive else (tl, bl, br, tr))
+    return PDCode(tuple(quads))
 
 
 class TestInvariants:
@@ -96,6 +135,19 @@ class TestInvariants:
         assert result.exit_code == 2
         assert "10x10 Seifert matrix exceeds the 8x8 cap" in result.stderr
 
+    def test_overwide_pd_exits_2_at_once(self):
+        # the torus knot T(8,9) as a closed 8-braid: 63 crossings whose
+        # greedy contraction order opens 16 boundary edges
+        pd = braid_closure_pd(8, list(range(1, 8)) * 9)
+        assert contraction_order(pd)[1] > CONTRACT_WIDTH_CAP
+        start = time.perf_counter()
+        with pytest.raises(DiagramTooLarge):
+            bracket_contract(pd)
+        result = invoke("obstruct", "--pd", render_pd(pd))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert f"exceeds the width cap {CONTRACT_WIDTH_CAP}" in result.stderr
+
     def test_tinv_without_spine_exits_2(self):
         result = invoke("invariants", "--pretzel", "1,1,1", "--tinv", "0,0,0,1")
         assert result.exit_code == 2
@@ -134,6 +186,12 @@ class TestObstruct:
         result = invoke("obstruct", *source, "--jones", "-1*t^4 + 1*t^3 + 1*t^1")
         assert result.exit_code == 2
         assert "--jones goes with --seifert or --spine" in result.output
+
+    def test_pd_past_brute_cap(self):
+        params = PretzelParams(13, 15, -7)
+        result = invoke("obstruct", "--pd", render_pd(pretzel_pd(params)), "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["jones"] == json_value(jones(params))
 
     def test_explicit_jones(self):
         result = invoke(
@@ -267,3 +325,13 @@ class TestSelftest:
         result = invoke("selftest", "--suite", "bracket")
         assert result.exit_code == 1
         assert "FAIL  bracket_twist != bracket_brute at PretzelParams(" in result.output
+
+    @pytest.mark.parametrize("engine, named", [
+        ("bracket_contract", "bracket_contract != bracket_brute"),
+        ("bracket_brute", "bracket_brute != bracket_contract"),
+    ])
+    def test_failure_names_the_engine(self, monkeypatch, engine, named):
+        monkeypatch.setattr(selftest, engine, lambda pd: LaurentPoly.one())
+        result = invoke("selftest", "--suite", "bracket")
+        assert result.exit_code == 1
+        assert f"FAIL  {named} at PretzelParams(" in result.output

@@ -6,7 +6,9 @@ from knotobstruct.kauffman import (
     DELTA,
     TangleBracket,
     bracket_brute,
+    bracket_contract,
     bracket_twist,
+    contraction_order,
     jones,
     twist_tangle,
 )
@@ -41,6 +43,25 @@ class TestBracketBrute:
         for pd in [TREFOIL, FIG8, parse_pd("X(1,1,2,2)")] + pretzels:
             assert bracket_brute(mirror(pd)) == bracket_brute(pd).substitute_power(-1)
         assert bracket_brute(mirror(TREFOIL)) != TREFOIL_BRACKET
+
+
+class TestBracketContract:
+    def test_small_diagrams_match_brute(self):
+        kinks = [parse_pd(t) for t in ("X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,1,2)",
+                                        "X(2,2,1,1)")]
+        for pd in [parse_pd(""), TREFOIL, mirror(TREFOIL), FIG8] + kinks:
+            assert bracket_contract(pd) == bracket_brute(pd), pd
+
+    def test_trefoil_oracle(self):
+        assert bracket_contract(TREFOIL) == TREFOIL_BRACKET
+
+    def test_large_pretzel_matches_twist_route(self):
+        # 255 crossings, far past the brute-force cap; the greedy order
+        # keeps a pretzel's open boundary at six edges
+        params = PretzelParams(101, 103, -51)
+        pd = pretzel_pd(params)
+        assert contraction_order(pd)[1] == 6
+        assert bracket_contract(pd) == bracket_twist(params)
 
 
 class TestTwistTangle:
@@ -120,6 +141,11 @@ class TestJones:
         for pd in diagrams:
             assert jones(pd).evaluate(1) == 1
         assert jones(PretzelParams(9, 11, -5)).evaluate(1) == 1
+
+    def test_pd_route_past_brute_cap(self):
+        # the 35-crossing family member k = 3 through contraction
+        params = PretzelParams(13, 15, -7)
+        assert jones(pretzel_pd(params)) == jones(params)
 
     def test_pretzel_params_route_matches_pd_route(self):
         for p, q, r in [(1, 1, 1), (-1, -1, -1), (3, 5, -1)]:

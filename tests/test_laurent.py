@@ -176,6 +176,11 @@ class TestCoefficientTypes:
         ):
             assert _coeff_types(p) == {int}
 
+    def test_parsed_integer_text_is_int(self):
+        assert _coeff_types(parse_laurent("-1*t^4 + 1*t^3 + t - 2")) == {int}
+        mixed = parse_laurent("1/2*t^2 + 3*t")
+        assert type(mixed.coeff(2)) is Fraction and type(mixed.coeff(1)) is int
+
     def test_real_denominators_stay_fraction(self):
         assert _coeff_types(parse_laurent("1/2*t")) == {Fraction}
         theta = reduced_two_loop(GenusOneSpine(0, 0, 0), TangleInvariants(v3=1))
