@@ -40,7 +40,9 @@ def _ints(text: str, *counts: int) -> list[int]:
 #: input kind -> parser of its text, shared by the options and batch rows
 _PARSERS = {
     "pretzel": lambda text: PretzelParams(*_ints(text, 3)),
-    "pd": parse_pd,
+    # by name at call time, so a wrapper later bound to cli.parse_pd (as
+    # perfbench's --trace spans are) is the one called
+    "pd": lambda text: parse_pd(text),
     "seifert": lambda text: SeifertMatrix(
         [[int(x) for x in row.split(",") if x.strip()]
          for row in text.split(";") if row.strip()]

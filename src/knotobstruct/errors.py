@@ -19,10 +19,11 @@ class ValidationError(KnotObstructError):
 
 
 class DiagramTooLarge(KnotObstructError):
-    """Input over a size cap of an exhaustive computation: the brute-force
-    state sum's 20 crossings, the contraction engine's open-boundary
-    width (raised from the crossing order alone, before any state work),
-    or a Seifert matrix's 8x8 for its cofactor determinants."""
+    """Input over a size cap, raised before the capped work starts: the
+    brute-force state sum's 20 crossings; the contraction engine's
+    open-boundary width and its work estimate, both taken from the
+    crossing order alone; the twist route's |p| + |q| + |r|; or a
+    Seifert matrix's 8x8 for its cofactor determinants."""
 
 
 class NormalizationError(KnotObstructError):

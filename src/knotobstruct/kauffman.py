@@ -3,13 +3,17 @@
 Three engines, all in the bracket variable A:
 - contraction (bracket_contract), the PD-code engine: crossings are added
   one at a time and the state is a polynomial per matching of the open
-  boundary, so the cost follows the boundary's width, capped at
-  CONTRACT_WIDTH_CAP edges, not 2^n;
+  boundary, so the cost follows the boundary's width and the crossing
+  count, not 2^n; capped at CONTRACT_WIDTH_CAP edges and at
+  CONTRACT_WORK_CAP units of estimated work, both checked from the
+  crossing order before any state work;
 - a brute-force state sum over all 2^n smoothings (bracket_brute), the
   trusted oracle the tests and selftest check the others against, capped
   at BRUTE_CAP = 20 crossings;
-- a twist-region route (bracket_twist) that handles pretzel knots of any
-  size by closing up three twist tangles, each given in closed form.
+- a twist-region route (bracket_twist) for pretzel knots that closes up
+  three twist tangles, each given in closed form; multiplied by 1 + A^4
+  their coefficients have two terms each, so the route takes
+  O(|p| + |q| + |r|) steps, capped at PRETZEL_TOTAL_CAP.
 The Jones polynomial comes from the writhe-corrected bracket under
 t = A^-4.
 """
@@ -32,6 +36,16 @@ BRUTE_CAP = 20
 #: closed braid (s1...s6)^m took 0.13 s (m = 8, 48 crossings) to 0.99 s
 #: (m = 22, 132 crossings), and width 16 took 0.94 s at 63 crossings
 CONTRACT_WIDTH_CAP = 14
+
+#: largest contraction_order work estimate bracket_contract accepts; time
+#: ran at 0.19-0.58 us per unit on closed braids and pretzel diagrams, so
+#: (s1...s6)^22 (3.2e6 units, 0.8 s) passes and (s1...s6)^30 (6.3e6 units,
+#: 1.2 s) does not
+CONTRACT_WORK_CAP = 3_500_000
+
+#: largest |p| + |q| + |r| bracket_twist accepts; at a total of 249,999 a
+#: whole cosmetic_verdict took 0.7 s and obstruct --json 1.15 s
+PRETZEL_TOTAL_CAP = 250_000
 
 
 def bracket_brute(pd: PDCode) -> LaurentPoly:
@@ -87,16 +101,28 @@ def bracket_brute(pd: PDCode) -> LaurentPoly:
     return result
 
 
-def contraction_order(pd: PDCode) -> tuple[list[int], int]:
-    """Greedy crossing order for bracket_contract and its widest boundary.
+def _catalan(k: int) -> int:
+    """The number of non-crossing matchings of 2k boundary points."""
+    c = 1
+    for j in range(k):
+        c = c * 2 * (2 * j + 1) // (j + 2)
+    return c
+
+
+def contraction_order(pd: PDCode) -> tuple[list[int], int, int]:
+    """Greedy crossing order for bracket_contract, its widest boundary and
+    an estimate of its work.
 
     The open boundary is the set of edge labels seen once so far; the next
-    crossing is the first one sharing the most labels with it.
+    crossing is the first one sharing the most labels with it.  After the
+    i-th crossing a boundary of w edges has up to Catalan(w/2) matchings,
+    each holding a polynomial of O(i) terms, so the work estimate is the
+    sum of Catalan(w_i/2) * i over the order.
     """
     remaining = list(range(pd.n))
     boundary: set[int] = set()
     order = []
-    width = 0
+    width = work = 0
     while remaining:
         best = max(remaining,
                    key=lambda i: len(boundary.intersection(pd.crossings[i])))
@@ -108,7 +134,8 @@ def contraction_order(pd: PDCode) -> tuple[list[int], int]:
             else:
                 boundary.add(e)
         width = max(width, len(boundary))
-    return order, width
+        work += _catalan(len(boundary) // 2) * len(order)
+    return order, width, work
 
 
 #: delta^k as (exponent, coefficient) pairs, for the 0, 1 or 2 loops that
@@ -127,13 +154,26 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     pair as in bracket_brute.  Every state sum term closes at least one
     loop at the last crossing, which is counted once less there: the one
     empty matching left then holds <D>.  Raises DiagramTooLarge before any
-    state work when the order's boundary is wider than CONTRACT_WIDTH_CAP.
+    state work when the order's boundary is wider than CONTRACT_WIDTH_CAP
+    or its work estimate is over CONTRACT_WORK_CAP.  The estimate is at
+    least n(n+1)/2, which is checked first: the greedy order itself takes
+    O(n^2) steps.
     """
-    order, width = contraction_order(pd)
+    floor = pd.n * (pd.n + 1) // 2
+    if floor > CONTRACT_WORK_CAP:
+        raise DiagramTooLarge(
+            f"{pd.n} crossings give a contraction work estimate of at least "
+            f"{floor}, over the cap {CONTRACT_WORK_CAP}"
+        )
+    order, width, work = contraction_order(pd)
     if width > CONTRACT_WIDTH_CAP:
         raise DiagramTooLarge(
             f"contraction boundary of {width} edges exceeds the width cap "
             f"{CONTRACT_WIDTH_CAP}"
+        )
+    if work > CONTRACT_WORK_CAP:
+        raise DiagramTooLarge(
+            f"contraction work estimate {work} exceeds the cap {CONTRACT_WORK_CAP}"
         )
     if not order:
         return LaurentPoly.one()  # the crossingless unknot
@@ -211,27 +251,65 @@ def twist_tangle(n_halftwists: int) -> TangleBracket:
     )
 
 
+def _divide_by_one_plus_a4_cubed(poly: LaurentPoly) -> LaurentPoly:
+    """The exact quotient poly / (1 + A^4)^3 by synthetic division.
+
+    Each class of exponents mod 4 is a polynomial in A^4 on its own; per
+    factor 1 + A^4, its quotient's coefficients are q_i = p_i - q_(i-1)
+    from the bottom up, and the top one left over is the remainder.
+    O(span) steps; raises NormalizationError when a remainder is not zero.
+    """
+    terms = poly.terms
+    out = {}
+    for r in {e % 4 for e in terms}:
+        exps = [e for e in terms if e % 4 == r]
+        lo = min(exps)
+        q = [terms.get(e, 0) for e in range(lo, max(exps) + 1, 4)]
+        for _ in range(3):
+            for i in range(1, len(q)):
+                q[i] -= q[i - 1]
+            if q.pop():
+                raise NormalizationError("bracket sum not divisible by (1 + A^4)^3")
+        out.update((lo + 4 * i, c) for i, c in enumerate(q) if c)
+    return LaurentPoly(out)
+
+
+#: 1 + A^4, which clears the twist coefficients' geometric sums
+_ONE_PLUS_A4 = LaurentPoly({0: 1, 4: 1})
+
+#: delta^(loops - 1) for the pretzel closure's 3, 2, 1 and 2 loops with 0,
+#: 1, 2 and 3 horizontal smoothings
+_CLOSURE_DELTAS = tuple(DELTA ** (loops - 1) for loops in (3, 2, 1, 2))
+
+
 def bracket_twist(params: PretzelParams) -> LaurentPoly:
     """Kauffman bracket of P(p,q,r) from three twist-region tangles.
 
     The pretzel closure of three 2-tangles produces 3 loops when all
     three are smoothed vertically, 2 loops with exactly one horizontal
-    smoothing or all three, and 1 loop with exactly two.
+    smoothing or all three, and 1 loop with exactly two.  Every tangle
+    coefficient is first multiplied by 1 + A^4, which leaves two terms of
+    beta_n's geometric sum in -A^4 (and of alpha_n), so the closure
+    multiplies only sparse polynomials.  Its sum is (1 + A^4)^3 <D>,
+    divided out exactly in O(|p| + |q| + |r|).  Raises DiagramTooLarge
+    when |p| + |q| + |r| exceeds PRETZEL_TOTAL_CAP.
     """
-    tangles = [twist_tangle(v) for v in params.as_tuple()]
+    total = sum(map(abs, params.as_tuple()))
+    if total > PRETZEL_TOTAL_CAP:
+        raise DiagramTooLarge(
+            f"|p| + |q| + |r| = {total} exceeds the pretzel cap {PRETZEL_TOTAL_CAP}"
+        )
+    cleared = [
+        (t.coef_zero * _ONE_PLUS_A4, t.coef_infinity * _ONE_PLUS_A4)
+        for t in map(twist_tangle, params.as_tuple())
+    ]
     result = LaurentPoly()
-    for mask in range(8):
+    for mask in range(8):  # bit i set: tangle i smoothed horizontally
         coefs = LaurentPoly.one()
-        horiz = 0
-        for i, t in enumerate(tangles):
-            if mask >> i & 1:
-                horiz += 1
-                coefs = coefs * t.coef_infinity
-            else:
-                coefs = coefs * t.coef_zero
-        loops = {0: 3, 1: 2, 2: 1, 3: 2}[horiz]
-        result = result + coefs * DELTA ** (loops - 1)
-    return result
+        for i, pair in enumerate(cleared):
+            coefs = coefs * pair[mask >> i & 1]
+        result = result + coefs * _CLOSURE_DELTAS[mask.bit_count()]
+    return _divide_by_one_plus_a4_cubed(result)
 
 
 def jones(diagram: PDCode | PretzelParams) -> LaurentPoly:

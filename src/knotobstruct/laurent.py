@@ -29,9 +29,12 @@ class LaurentPoly:
         d: dict[int, Scalar] = {}
         for e, c in items:
             if c:
-                d[int(e)] = d.get(int(e), 0) + c
-                if not d[int(e)]:
-                    del d[int(e)]
+                e = int(e)
+                s = d.get(e, 0) + c
+                if s:
+                    d[e] = s
+                else:
+                    del d[e]
         self._terms = d
 
     # -- constructors ------------------------------------------------------

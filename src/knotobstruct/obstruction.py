@@ -40,16 +40,34 @@ _LAMBDA_NOTE = (
 )
 
 
-def w3(jones_poly: LaurentPoly) -> Fraction:
-    """(1/36) V'''(1) + (1/12) V''(1), the degree-3 finite type invariant."""
-    v2 = jones_poly.derivative(2).evaluate(1)
-    v3 = jones_poly.derivative(3).evaluate(1)
+def jones_values(
+    jones_poly: LaurentPoly,
+) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(V''(1), V'''(1), V(-1), V'(-1)) in one pass over the terms c t^e,
+    as the sums of c e(e-1), c e(e-1)(e-2), c (-1)^e and c e (-1)^(e-1):
+    all that w3, Theta(-1), lambda_w and |V(-1)| read."""
+    v2 = v3 = vm1 = dvm1 = 0
+    for e, c in jones_poly.terms.items():
+        falling = c * e * (e - 1)
+        v2 += falling
+        v3 += falling * (e - 2)
+        if e % 2:
+            vm1 -= c
+            dvm1 += c * e
+        else:
+            vm1 += c
+            dvm1 -= c * e
+    return v2, v3, vm1, dvm1
+
+
+def _w3(v2: Scalar, v3: Scalar) -> Fraction:
     return Fraction(1, 36) * v3 + Fraction(1, 12) * v2
 
 
-def _at_minus_one(jones_poly: LaurentPoly) -> tuple[Scalar, Scalar]:
-    """(V(-1), V'(-1)), which Theta(-1), lambda_w and |V(-1)| all read."""
-    return jones_poly.evaluate(-1), jones_poly.derivative().evaluate(-1)
+def w3(jones_poly: LaurentPoly) -> Fraction:
+    """(1/36) V'''(1) + (1/12) V''(1), the degree-3 finite type invariant."""
+    v2, v3, _, _ = jones_values(jones_poly)
+    return _w3(v2, v3)
 
 
 def _lambda_w(vm1: Scalar, dvm1: Scalar, sigma: int) -> Fraction:
@@ -69,7 +87,8 @@ def _thetas(
 def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
     """Casson-Walker invariant of the double branched cover
     (Mullins): -V'(-1)/(6 V(-1)) + sigma/4."""
-    return _lambda_w(*_at_minus_one(jones_poly), sigma)
+    _, _, vm1, dvm1 = jones_values(jones_poly)
+    return _lambda_w(vm1, dvm1, sigma)
 
 
 def obstruction_value(
@@ -77,7 +96,8 @@ def obstruction_value(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone:
     Theta(1) = 2 w3 and Theta(-1) = -(1/12) V'(-1) V(-1)."""
-    return _thetas(w3(jones_poly), *_at_minus_one(jones_poly))
+    v2, v3, vm1, dvm1 = jones_values(jones_poly)
+    return _thetas(_w3(v2, v3), vm1, dvm1)
 
 
 def _mod16_nonzero(ob: Fraction) -> bool:
@@ -165,11 +185,11 @@ def cosmetic_verdict(
     w3v = lam = th1 = thm1 = ob = None
     mod16 = None
     if jp is not None:
-        w3v = w3(jp)
+        v2, v3, vm1, dvm1 = jones_values(jp)
+        w3v = _w3(v2, v3)
         if w3v.denominator != 1:
             notes.append(f"w3 = {w3v} is not an integer: input is likely "
                          "not a knot Jones polynomial")
-        vm1, dvm1 = _at_minus_one(jp)
         th1, thm1, ob = _thetas(w3v, vm1, dvm1)
         mod16 = _mod16_nonzero(ob)
         notes.append(_LAMBDA_NOTE)

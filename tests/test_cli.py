@@ -4,14 +4,15 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from knotobstruct import selftest
+from knotobstruct import cli, selftest
 from knotobstruct.cli import main
-from knotobstruct.diagram import PDCode, PretzelParams, pretzel_pd, render_pd
+from knotobstruct.diagram import PDCode, PretzelParams, parse_pd, pretzel_pd, render_pd
 from knotobstruct.errors import DiagramTooLarge
-from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, bracket_contract,
+from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
+                                   PRETZEL_TOTAL_CAP, bracket_contract,
                                    contraction_order, jones)
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.obstruction import json_value
+from knotobstruct.obstruction import json_value, pretzel_family
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 
@@ -148,6 +149,40 @@ class TestInvariants:
         assert result.exit_code == 2
         assert f"exceeds the width cap {CONTRACT_WIDTH_CAP}" in result.stderr
 
+    def test_long_braid_exits_2_at_once(self):
+        # (s1...s6)^43: 258 crossings inside the width cap, whose work
+        # estimate is about four times the cap (it ran 3 s with no cap)
+        pd = braid_closure_pd(7, list(range(1, 7)) * 43)
+        _, width, work = contraction_order(pd)
+        assert width <= CONTRACT_WIDTH_CAP and work > CONTRACT_WORK_CAP
+        start = time.perf_counter()
+        with pytest.raises(DiagramTooLarge):
+            bracket_contract(pd)
+        result = invoke("obstruct", "--pd", render_pd(pd))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert f"exceeds the cap {CONTRACT_WORK_CAP}" in result.stderr
+
+    def test_many_crossings_exit_2_before_ordering(self):
+        # 3003 crossings at width 6: the greedy order alone took 1.6 s
+        pd = pretzel_pd(PretzelParams(1001, 1001, -1001))
+        text = render_pd(pd)
+        start = time.perf_counter()
+        result = invoke("obstruct", "--pd", text)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "3003 crossings give a contraction work estimate" in result.stderr
+
+    # just over the cap, and a total of 600003 that would run for seconds
+    @pytest.mark.parametrize("text", [f"{PRETZEL_TOTAL_CAP - 1},1,-1",
+                                      "200001,200001,-200001"])
+    def test_over_cap_pretzel_exits_2_at_once(self, text):
+        start = time.perf_counter()
+        result = invoke("obstruct", "--pretzel", text)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert f"exceeds the pretzel cap {PRETZEL_TOTAL_CAP}" in result.stderr
+
     def test_tinv_without_spine_exits_2(self):
         result = invoke("invariants", "--pretzel", "1,1,1", "--tinv", "0,0,0,1")
         assert result.exit_code == 2
@@ -192,6 +227,26 @@ class TestObstruct:
         result = invoke("obstruct", "--pd", render_pd(pretzel_pd(params)), "--json")
         assert result.exit_code == 0
         assert json.loads(result.output)["jones"] == json_value(jones(params))
+
+    def test_large_pretzel_under_one_second(self):
+        # the family member k = 2500: 20005 crossings
+        params, ob, _ = pretzel_family(2500)
+        assert params == PretzelParams(10001, 10003, -5001)
+        start = time.perf_counter()
+        result = invoke("obstruct", "--pretzel", "10001,10003,-5001", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["ob"] == str(ob)
+        assert doc["alexander"] == {"0": "1"}
+
+    def test_pd_parser_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper bound to cli.parse_pd after import must see the call
+        seen = []
+        monkeypatch.setattr(cli, "parse_pd",
+                            lambda text: seen.append(text) or parse_pd(text))
+        assert invoke("obstruct", "--pd", TREFOIL_PD).exit_code == 0
+        assert seen == [TREFOIL_PD]
 
     def test_explicit_jones(self):
         result = invoke(

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, mirror, parse_pd, pretzel_pd
-from knotobstruct.errors import DiagramTooLarge
+from knotobstruct.errors import DiagramTooLarge, NormalizationError
 from knotobstruct.kauffman import (
+    CONTRACT_WORK_CAP,
     DELTA,
     TangleBracket,
+    _divide_by_one_plus_a4_cubed,
     bracket_brute,
     bracket_contract,
     bracket_twist,
@@ -16,6 +19,7 @@ from knotobstruct.laurent import LaurentPoly
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD
 
 TREFOIL = parse_pd(TREFOIL_PD)
+CUBE = LaurentPoly({0: 1, 4: 3, 8: 3, 12: 1})  # (1 + A^4)^3
 FIG8 = parse_pd("X(4,2,5,1); X(8,6,1,5); X(6,3,7,4); X(2,7,3,8)")
 
 
@@ -60,7 +64,8 @@ class TestBracketContract:
         # keeps a pretzel's open boundary at six edges
         params = PretzelParams(101, 103, -51)
         pd = pretzel_pd(params)
-        assert contraction_order(pd)[1] == 6
+        _, width, work = contraction_order(pd)
+        assert width == 6 and work < CONTRACT_WORK_CAP
         assert bracket_contract(pd) == bracket_twist(params)
 
 
@@ -110,6 +115,30 @@ class TestBracketTwist:
     def test_large_pretzel_fast(self):
         br = bracket_twist(PretzelParams(9, 11, -5))
         assert not br.is_zero()
+
+    @given(st.tuples(*[st.integers(-20, 20).map(lambda v: 2 * v + 1)] * 3))
+    def test_matches_contraction(self, pqr):
+        # entries odd with |v| <= 41; pretzel_pd contracts at width 6
+        params = PretzelParams(*pqr)
+        assert bracket_twist(params) == bracket_contract(pretzel_pd(params))
+
+
+class TestDivideByOnePlusA4Cubed:
+    @given(st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=8))
+    def test_exact_quotient(self, terms):
+        p = LaurentPoly(terms)
+        assert _divide_by_one_plus_a4_cubed(p * CUBE) == p
+
+    @pytest.mark.parametrize("poly", [
+        LaurentPoly.one(),
+        LaurentPoly({0: 1, 4: 2, 8: 1}),     # (1 + A^4)^2
+        CUBE + LaurentPoly({16: 1}),
+        CUBE + LaurentPoly({1: 1}),          # one exponent class divides
+        CUBE * LaurentPoly({0: 1, 4: 1, 5: 1}) + LaurentPoly({5: 1}),
+    ])
+    def test_remainder_raises(self, poly):
+        with pytest.raises(NormalizationError):
+            _divide_by_one_plus_a4_cubed(poly)
 
 
 class TestJones:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
 from knotobstruct.errors import InconsistentInput
@@ -10,6 +11,7 @@ from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import (
     cosmetic_verdict,
+    jones_values,
     mullins_lambda_w,
     obstruction_value,
     pretzel_family,
@@ -19,6 +21,27 @@ from knotobstruct.seifert import GenusOneSpine, SeifertMatrix, pretzel_alexander
 
 UNKNOT_V = LaurentPoly.one()
 TREFOIL_V = LaurentPoly({4: -1, 3: 1, 1: 1})
+
+
+class TestJonesValues:
+    @given(st.dictionaries(
+        st.integers(-12, 12),
+        st.integers(-50, 50) | st.fractions(-10, 10, max_denominator=7),
+        max_size=8,
+    ).map(LaurentPoly))
+    def test_matches_derivative_route(self, v):
+        # the derivative/evaluate route is kept here as the oracle
+        assert jones_values(v) == (
+            v.derivative(2).evaluate(1),
+            v.derivative(3).evaluate(1),
+            v.evaluate(-1),
+            v.derivative().evaluate(-1),
+        )
+
+    def test_integer_coefficients_stay_int(self):
+        v2, v3, vm1, dvm1 = jones_values(jones(PretzelParams(5, 7, -3)))
+        assert all(type(x) is int for x in (v2, v3, vm1, dvm1))
+        assert (vm1, dvm1) == (1, -48)
 
 
 class TestW3:
