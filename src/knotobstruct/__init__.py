@@ -1,8 +1,7 @@
 """Exact knot invariants and cosmetic-crossing obstructions for genus-one knots."""
 
 from .diagram import PDCode, PretzelParams, mirror, parse_pd, pretzel_pd, render_pd, writhe
-from .kauffman import (TangleBracket, bracket_brute, bracket_contract, bracket_twist,
-                       jones, twist_tangle)
+from .kauffman import bracket_brute, bracket_contract, bracket_twist, jones, twist_tangle
 from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
     ObstructionReport,
@@ -42,7 +41,6 @@ __all__ = [
     "PDCode",
     "PretzelParams",
     "SeifertMatrix",
-    "TangleBracket",
     "TangleInvariants",
     "alexander_from_seifert",
     "alexander_genus_one",

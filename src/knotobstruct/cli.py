@@ -258,8 +258,11 @@ def batch(input_path, output_path):
     doc = {"results": results, "summary": counts}
     text = json.dumps(doc, indent=2)
     if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputSyntaxError(f"--output {output_path}: {exc}") from exc
     else:
         click.echo(text)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "empty"

@@ -11,8 +11,8 @@ Three engines, all in the bracket variable A:
   trusted oracle the tests and selftest check the others against, capped
   at BRUTE_CAP = 20 crossings;
 - a twist-region route (bracket_twist) for pretzel knots that closes up
-  three twist tangles, each given in closed form; multiplied by 1 + A^4
-  their coefficients have two terms each, so the route takes
+  three twist tangles, each given as (1 + A^4) times its coordinates in
+  one closed form of two terms per coefficient, so the route takes
   O(|p| + |q| + |r|) steps, capped at PRETZEL_TOTAL_CAP.
 The Jones polynomial comes from the writhe-corrected bracket under
 t = A^-4.
@@ -44,7 +44,8 @@ CONTRACT_WIDTH_CAP = 14
 CONTRACT_WORK_CAP = 3_500_000
 
 #: largest |p| + |q| + |r| bracket_twist accepts; at a total of 249,999 a
-#: whole cosmetic_verdict took 0.7 s and obstruct --json 1.15 s
+#: whole cosmetic_verdict took 0.43-0.56 s and obstruct --json 0.75-0.95 s
+#: on a 2-core x86-64 VM
 PRETZEL_TOTAL_CAP = 250_000
 
 
@@ -114,25 +115,44 @@ def contraction_order(pd: PDCode) -> tuple[list[int], int, int]:
     an estimate of its work.
 
     The open boundary is the set of edge labels seen once so far; the next
-    crossing is the first one sharing the most labels with it.  After the
-    i-th crossing a boundary of w edges has up to Catalan(w/2) matchings,
-    each holding a polynomial of O(i) terms, so the work estimate is the
-    sum of Catalan(w_i/2) * i over the order.
+    crossing is the first one sharing the most labels with it.  Each label
+    sits at two crossing slots, so a label entering the boundary adds one
+    to the count of the other crossing holding it, and it leaves only at
+    that crossing.  `frontier` keeps these counts for the unordered
+    crossings that touch the boundary, at most one per boundary label, so
+    a step costs O(width) and the order O(n * width).  After the i-th
+    crossing a boundary of w edges has up to Catalan(w/2) matchings, each
+    holding a polynomial of O(i) terms, so the work estimate is the sum of
+    Catalan(w_i/2) * i over the order.
     """
-    remaining = list(range(pd.n))
+    at: dict[int, list[int]] = {}  # edge label -> crossings holding it
+    for i, quad in enumerate(pd.crossings):
+        for e in quad:
+            at.setdefault(e, []).append(i)
+    placed = [False] * pd.n
+    frontier: dict[int, int] = {}  # unordered crossing -> labels on boundary
     boundary: set[int] = set()
     order = []
-    width = work = 0
-    while remaining:
-        best = max(remaining,
-                   key=lambda i: len(boundary.intersection(pd.crossings[i])))
-        remaining.remove(best)
+    lowest = width = work = 0  # lowest: no crossing below it is unordered
+    for _ in range(pd.n):
+        if frontier:
+            best = max(frontier, key=lambda i: (frontier[i], -i))
+            del frontier[best]
+        else:  # the start, or a new component of a split diagram
+            while placed[lowest]:
+                lowest += 1
+            best = lowest
+        placed[best] = True
         order.append(best)
         for e in pd.crossings[best]:  # a kink's repeated label goes in and out
             if e in boundary:
                 boundary.remove(e)
             else:
                 boundary.add(e)
+        for e in boundary.intersection(pd.crossings[best]):  # labels just in
+            for j in at[e]:
+                if not placed[j]:
+                    frontier[j] = frontier.get(j, 0) + 1
         width = max(width, len(boundary))
         work += _catalan(len(boundary) // 2) * len(order)
     return order, width, work
@@ -156,8 +176,8 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     empty matching left then holds <D>.  Raises DiagramTooLarge before any
     state work when the order's boundary is wider than CONTRACT_WIDTH_CAP
     or its work estimate is over CONTRACT_WORK_CAP.  The estimate is at
-    least n(n+1)/2, which is checked first: the greedy order itself takes
-    O(n^2) steps.
+    least n(n+1)/2, which is checked first: it bounds the O(n * width)
+    ordering before that runs.
     """
     floor = pd.n * (pd.n + 1) // 2
     if floor > CONTRACT_WORK_CAP:
@@ -208,47 +228,22 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     return LaurentPoly(states[()])
 
 
-class TangleBracket:
-    """Bracket of a 2-strand tangle in the basis {0-tangle, infinity-tangle}.
-
-    coef_zero multiplies the two-vertical-strands tangle, coef_infinity
-    the cap-cup tangle; the 0-crossing vertical tangle is (1, 0).
-    """
-
-    __slots__ = ("coef_zero", "coef_infinity")
-
-    def __init__(self, coef_zero: LaurentPoly, coef_infinity: LaurentPoly):
-        self.coef_zero = coef_zero
-        self.coef_infinity = coef_infinity
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TangleBracket)
-            and self.coef_zero == other.coef_zero
-            and self.coef_infinity == other.coef_infinity
-        )
-
-    def __repr__(self):
-        return f"TangleBracket({self.coef_zero!r}, {self.coef_infinity!r})"
-
-
-def twist_tangle(n_halftwists: int) -> TangleBracket:
-    """Bracket coordinates of the vertical 2-tangle with n half-twists.
+def twist_tangle(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(1 + A^4) times the bracket coordinates (alpha_n, beta_n) of the
+    vertical 2-tangle with n half-twists, in the basis {0-tangle,
+    infinity-tangle}.
 
     One positive half-twist maps (alpha, beta) to
     (A^-1 alpha, A alpha + (A^-1 + A delta) beta) by the skein relation;
     the assignment of A vs A^-1 is the one that closes up to the trefoil
     oracle's bracket for P(1,1,1).  Since A^-1 + A delta = -A^3, this
-    step from (1, 0) is solved in closed form by
-      alpha_n = A^-n,  beta_n = sum_{j<n} (-1)^j A^(4j+2-n),
-    and a negative n is the same with A and A^-1 swapped and |n| twists.
+    linear step from (1 + A^4, 0) is solved for every signed n by
+      (A^-n + A^(4-n),  A^(2-n) - (-1)^n A^(2+3n)),
+    the geometric sum beta_n = sum_{j<n} (-1)^j A^(4j+2-n) cleared of its
+    denominator 1 + A^4.  At n = 0 the two beta terms cancel.
     """
-    n = abs(n_halftwists)
-    s = 1 if n_halftwists >= 0 else -1  # s = -1 swaps A and A^-1
-    return TangleBracket(
-        LaurentPoly({-s * n: 1}),
-        LaurentPoly({s * (4 * j + 2 - n): (-1) ** j for j in range(n)}),
-    )
+    return (LaurentPoly({-n: 1, 4 - n: 1}),
+            LaurentPoly([(2 - n, 1), (2 + 3 * n, 1 if n % 2 else -1)]))
 
 
 def _divide_by_one_plus_a4_cubed(poly: LaurentPoly) -> LaurentPoly:
@@ -274,9 +269,6 @@ def _divide_by_one_plus_a4_cubed(poly: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-#: 1 + A^4, which clears the twist coefficients' geometric sums
-_ONE_PLUS_A4 = LaurentPoly({0: 1, 4: 1})
-
 #: delta^(loops - 1) for the pretzel closure's 3, 2, 1 and 2 loops with 0,
 #: 1, 2 and 3 horizontal smoothings
 _CLOSURE_DELTAS = tuple(DELTA ** (loops - 1) for loops in (3, 2, 1, 2))
@@ -287,11 +279,10 @@ def bracket_twist(params: PretzelParams) -> LaurentPoly:
 
     The pretzel closure of three 2-tangles produces 3 loops when all
     three are smoothed vertically, 2 loops with exactly one horizontal
-    smoothing or all three, and 1 loop with exactly two.  Every tangle
-    coefficient is first multiplied by 1 + A^4, which leaves two terms of
-    beta_n's geometric sum in -A^4 (and of alpha_n), so the closure
-    multiplies only sparse polynomials.  Its sum is (1 + A^4)^3 <D>,
-    divided out exactly in O(|p| + |q| + |r|).  Raises DiagramTooLarge
+    smoothing or all three, and 1 loop with exactly two.  The closure runs
+    on twist_tangle's cleared coordinates, two terms each, so it multiplies
+    only sparse polynomials.  Its sum is (1 + A^4)^3 <D>, divided out
+    exactly in O(|p| + |q| + |r|).  Raises DiagramTooLarge
     when |p| + |q| + |r| exceeds PRETZEL_TOTAL_CAP.
     """
     total = sum(map(abs, params.as_tuple()))
@@ -299,10 +290,7 @@ def bracket_twist(params: PretzelParams) -> LaurentPoly:
         raise DiagramTooLarge(
             f"|p| + |q| + |r| = {total} exceeds the pretzel cap {PRETZEL_TOTAL_CAP}"
         )
-    cleared = [
-        (t.coef_zero * _ONE_PLUS_A4, t.coef_infinity * _ONE_PLUS_A4)
-        for t in map(twist_tangle, params.as_tuple())
-    ]
+    cleared = [twist_tangle(v) for v in params.as_tuple()]
     result = LaurentPoly()
     for mask in range(8):  # bit i set: tangle i smoothed horizontally
         coefs = LaurentPoly.one()

@@ -150,15 +150,20 @@ def cosmetic_verdict(
 
     Input is one of: pretzel parameters (both routes, fast), a PD code
     (optionally with a Seifert matrix), or a Seifert matrix or spine
-    (optionally with a precomputed Jones polynomial).  Genus-one status
-    is the caller's assertion.  The Alexander polynomial is computed
-    once from the Seifert matrix; the determinant is its |Delta(-1)|.
+    (optionally with a precomputed Jones polynomial); any other combination
+    raises PreconditionViolation.  Genus-one status is the caller's
+    assertion.  The Alexander polynomial is computed once from the Seifert
+    matrix; the determinant is its |Delta(-1)|.
     With KNOTOBSTRUCT_STRICT=1 in the environment a |V(-1)| vs
     |Delta(-1)| mismatch raises InconsistentInput; otherwise it is
     recorded as a note.
     """
     notes: list[str] = []
 
+    if jones_poly is not None and (pretzel is not None or pd is not None):
+        raise PreconditionViolation("jones_poly goes with seifert or spine input")
+    if spine is not None and (pd is not None or seifert is not None):
+        raise PreconditionViolation("spine input excludes pd and seifert")
     if pretzel is not None:
         if pd is not None or seifert is not None or spine is not None:
             raise PreconditionViolation("pretzel input excludes other sources")

@@ -173,6 +173,17 @@ class TestInvariants:
         assert result.exit_code == 2
         assert "3003 crossings give a contraction work estimate" in result.stderr
 
+    def test_ordering_below_the_floor_is_fast(self):
+        # 2643 crossings, just under the n(n+1)/2 floor: the O(n * width)
+        # order runs, and its work estimate is refused (the O(n^2) greedy
+        # took 1.7 s to get there)
+        text = render_pd(pretzel_pd(PretzelParams(881, 881, -881)))
+        start = time.perf_counter()
+        result = invoke("obstruct", "--pd", text)
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert f"exceeds the cap {CONTRACT_WORK_CAP}" in result.stderr
+
     # just over the cap, and a total of 600003 that would run for seconds
     @pytest.mark.parametrize("text", [f"{PRETZEL_TOTAL_CAP - 1},1,-1",
                                       "200001,200001,-200001"])
@@ -361,6 +372,16 @@ class TestBatch:
         result = invoke("batch", "--input", str(path))
         assert result.exit_code == 2
         assert result.stderr.startswith("error: --input ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["directory", "missing/out.json"])
+    def test_unwritable_output_exits_2(self, tmp_path, target):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text("kind,label\npretzel,trefoil,1,1,1\n")
+        (tmp_path / "directory").mkdir()
+        result = invoke("batch", "--input", str(csv_path),
+                        "--output", str(tmp_path / target))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: --output ") and result.stderr.count("\n") == 1
 
 
 class TestSelftest:

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +9,7 @@ from knotobstruct.errors import DiagramTooLarge, NormalizationError
 from knotobstruct.kauffman import (
     CONTRACT_WORK_CAP,
     DELTA,
-    TangleBracket,
+    _catalan,
     _divide_by_one_plus_a4_cubed,
     bracket_brute,
     bracket_contract,
@@ -16,7 +19,9 @@ from knotobstruct.kauffman import (
     twist_tangle,
 )
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD
+from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
+from test_cli import braid_closure_pd
+from test_moves import moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
 CUBE = LaurentPoly({0: 1, 4: 3, 8: 3, 12: 1})  # (1 + A^4)^3
@@ -69,33 +74,90 @@ class TestBracketContract:
         assert bracket_contract(pd) == bracket_twist(params)
 
 
+def greedy_order(pd):
+    """contraction_order as first written, the reference it must match: a
+    max over every remaining crossing at each step, O(n^2)."""
+    remaining = list(range(pd.n))
+    boundary = set()
+    order = []
+    width = work = 0
+    while remaining:
+        best = max(remaining,
+                   key=lambda i: len(boundary.intersection(pd.crossings[i])))
+        remaining.remove(best)
+        order.append(best)
+        for e in pd.crossings[best]:
+            if e in boundary:
+                boundary.remove(e)
+            else:
+                boundary.add(e)
+        width = max(width, len(boundary))
+        work += _catalan(len(boundary) // 2) * len(order)
+    return order, width, work
+
+
+def closed_braids():
+    """Closures of torus-pattern braid words (s1...s(k-1))^m with gcd(k, m)
+    = 1, so one component, and seeded random crossing signs."""
+    rng = random.Random(5)
+    out = []
+    for k in range(2, 9):
+        for m in range(1, 12):
+            if math.gcd(k, m) == 1:
+                word = [rng.choice((1, -1)) * g for _ in range(m) for g in range(1, k)]
+                out.append(braid_closure_pd(k, word))
+    return out
+
+
+BRAIDS = closed_braids()
+
+
+class TestContractionOrder:
+    def test_matches_reference_greedy(self):
+        # gate 4's pretzel corpus, its mirrors and closed braids
+        pds = [pretzel_pd(params) for params in pretzels(13)]
+        for pd in pds + [mirror(pd) for pd in pds] + BRAIDS + [parse_pd("")]:
+            assert contraction_order(pd) == greedy_order(pd), pd
+
+    @given(moved([pretzel_pd(params) for params in pretzels(7)] + BRAIDS[:20], 4))
+    def test_relabelled_and_curled_match_reference(self, case):
+        _, pd, _ = case
+        assert contraction_order(pd) == greedy_order(pd)
+
+
 class TestTwistTangle:
+    # twist_tangle gives (1 + A^4) times the coordinates (alpha, beta)
+    ONE_PLUS_A4 = LaurentPoly({0: 1, 4: 1})
+
     def test_base_case(self):
-        assert twist_tangle(0) == TangleBracket(LaurentPoly.one(), LaurentPoly.zero())
+        assert twist_tangle(0) == (self.ONE_PLUS_A4, LaurentPoly.zero())
 
     def test_single_crossing(self):
-        t = twist_tangle(1)
-        assert t.coef_zero == LaurentPoly({-1: 1})
-        assert t.coef_infinity == LaurentPoly({1: 1})
+        alpha, beta = twist_tangle(1)
+        assert alpha == self.ONE_PLUS_A4 * LaurentPoly({-1: 1})
+        assert beta == self.ONE_PLUS_A4 * LaurentPoly({1: 1})
 
     def test_inverse_cancels(self):
         t = twist_tangle(3)
         # undoing three positive twists restores the 0-tangle
-        back = twist_tangle(0)
-        assert (t.coef_zero, t.coef_infinity) != (back.coef_zero, back.coef_infinity)
-        assert twist_tangle(-3).coef_zero * t.coef_zero == LaurentPoly.one()
+        assert t != twist_tangle(0)
+        assert twist_tangle(-3)[0] * t[0] == self.ONE_PLUS_A4 ** 2
 
     def test_skein_step(self):
         # one positive half-twist: (alpha, beta) ->
-        # (A^-1 alpha, A alpha + (A^-1 + A delta) beta)
+        # (A^-1 alpha, A alpha + (A^-1 + A delta) beta), linear, so it
+        # steps the cleared coordinates alike
         a, a_inv = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
         for n in range(-40, 41):
-            t = twist_tangle(n)
-            stepped = TangleBracket(
-                a_inv * t.coef_zero,
-                a * t.coef_zero + (a_inv + a * DELTA) * t.coef_infinity,
-            )
+            alpha, beta = twist_tangle(n)
+            stepped = (a_inv * alpha, a * alpha + (a_inv + a * DELTA) * beta)
             assert stepped == twist_tangle(n + 1), n
+
+    @pytest.mark.parametrize("n", [249_999, -249_999])
+    def test_two_int_terms_at_the_cap(self, n):
+        for coef in twist_tangle(n):
+            assert len(coef.terms) <= 2
+            assert all(type(c) is int for c in coef.terms.values())
 
 
 class TestBracketTwist:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
-from knotobstruct.errors import InconsistentInput
+from knotobstruct.errors import InconsistentInput, PreconditionViolation
 from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import (
@@ -158,6 +158,18 @@ class TestCosmeticVerdict:
         monkeypatch.setenv("KNOTOBSTRUCT_STRICT", "1")
         with pytest.raises(InconsistentInput):
             cosmetic_verdict(pd=pd, seifert=fig8_matrix)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pretzel": PretzelParams(1, 1, 1), "jones_poly": TREFOIL_V},
+        {"pd": parse_pd(""), "jones_poly": UNKNOT_V},
+        {"spine": GenusOneSpine(-1, -1, 0), "pd": parse_pd("")},
+        {"spine": GenusOneSpine(-1, -1, 0),
+         "seifert": SeifertMatrix([[-1, 1], [0, -1]])},
+    ])
+    def test_ignored_argument_raises(self, kwargs):
+        # each of these used to drop one of its arguments without a word
+        with pytest.raises(PreconditionViolation):
+            cosmetic_verdict(**kwargs)
 
     def test_random_nontrivial_alexander(self):
         rng = random.Random(17)
