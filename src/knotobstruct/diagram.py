@@ -81,95 +81,45 @@ def render_pd(pd: PDCode) -> str:
 
 
 def validate_pd(pd: PDCode) -> None:
-    """Check label multiplicities and reconstruct the knot's orientation.
+    """Check every crossing against the PD convention, one at a time.
 
-    Raises ValidationError for bad label sets or diagrams whose labels
-    do not trace out a single oriented component.
+    The labels are 1..2n, each used twice.  Each quad (a, b, c, d) starts
+    at its incoming under-strand, so c follows a; its over-strand
+    direction is readable (see crossing_sign); and every label enters
+    exactly one crossing, at a or at the over-strand's incoming slot.
+    Together these force the walk 1 -> 2 -> ... -> 2n -> 1, so a link or
+    a half-turned quad raises ValidationError.
     """
     n = pd.n
-    counts: dict[int, int] = {}
-    for quad in pd.crossings:
-        for e in quad:
-            counts[e] = counts.get(e, 0) + 1
-    if set(counts) != set(range(1, 2 * n + 1)) or any(v != 2 for v in counts.values()):
+    labels = sorted(e for quad in pd.crossings for e in quad)
+    if labels != sorted(2 * list(range(1, 2 * n + 1))):
         raise ValidationError(
             f"edge labels must be 1..{2*n}, each appearing exactly twice"
         )
-    if n:
-        _traverse(pd)
-
-
-def _occurrences(pd: PDCode) -> dict[int, list[tuple[int, int]]]:
-    """edge label -> list of (crossing index, slot index) occurrences."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, quad in enumerate(pd.crossings):
-        for si, e in enumerate(quad):
-            occ.setdefault(e, []).append((ci, si))
-    return occ
-
-
-# Strands pass straight through a crossing: slots 0<->2 (under), 1<->3 (over).
-_THROUGH = {0: 2, 1: 3, 2: 0, 3: 1}
-
-
-def _traverse(pd: PDCode) -> None:
-    """Walk the knot from edge 1 and check the cyclic successor rule.
-
-    The walk enters each crossing twice (once per strand); failure to
-    close up after 2n steps with labels increasing by 1 means the code
-    does not describe a single oriented knot component.
-    """
-    n = pd.n
-    occ = _occurrences(pd)
-
-    def succ(e: int) -> int:
-        return e % (2 * n) + 1
-
-    last_err = None
-    for head in occ[1]:
-        seen = set()
-        pos = head  # (crossing, slot) where the current edge terminates
-        edge = 1
-        ok = True
-        for _ in range(2 * n):
-            if pos in seen:
-                ok = False
-                last_err = "revisited a crossing slot (multiple components?)"
-                break
-            seen.add(pos)
-            ci, si = pos
-            out_slot = _THROUGH[si]
-            out_edge = pd.crossings[ci][out_slot]
-            if out_edge != succ(edge):
-                ok = False
-                last_err = (
-                    f"edge {edge} exits crossing {ci} as {out_edge}, "
-                    f"expected {succ(edge)}"
-                )
-                break
-            edge = out_edge
-            a, b = occ[edge]
-            pos = b if a == (ci, out_slot) else a
-        if ok and pos == head and len(seen) == 2 * n:
-            return
-        if ok:
-            last_err = "traversal did not close up over all crossings"
-    raise ValidationError(f"cannot orient PD code: {last_err}")
+    entered = set()
+    for quad in pd.crossings:
+        a, b, c, d = quad
+        if c != a % (2 * n) + 1:
+            raise ValidationError(
+                f"X{quad} must start at its incoming under-strand: "
+                f"{c} does not follow {a}"
+            )
+        entered.update((a, b if crossing_sign(quad, n) > 0 else d))
+    if len(entered) != 2 * n:
+        raise ValidationError("the edge labels do not trace out one oriented knot")
 
 
 def crossing_sign(quad: Quad, n: int) -> int:
-    """Sign of one crossing from its edge labels.
+    """Sign of one crossing: +1 when the over-strand runs b -> d, -1 when
+    it runs d -> b, read off the cyclic successor rule.
 
-    For a Reidemeister-1 kink (a repeated label in the quadruple) the
-    sign follows the degenerate smoothing pair; otherwise the over-strand
-    direction is read off the cyclic successor rule.  Jointly pinned with
-    the bracket's smoothing convention by the trefoil oracle.
+    At n = 1 both directions read true, and the curl's repeated label
+    decides.  Jointly pinned with the bracket's smoothing convention by
+    the trefoil oracle.
     """
     a, b, c, d = quad
-    if b == c or a == d:
-        return 1
-    if a == b or c == d:
-        return -1
+    if n == 1:
+        return 1 if b == c else -1
     if d == b % (2 * n) + 1:
         return 1
     if b == d % (2 * n) + 1:

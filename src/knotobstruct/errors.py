@@ -22,15 +22,17 @@ class DiagramTooLarge(KnotObstructError):
     """Input over a size cap, raised before the capped work starts: the
     brute-force state sum's 20 crossings; the contraction engine's
     open-boundary width and its work estimate, both taken from the
-    crossing order alone; the twist route's |p| + |q| + |r|; or a
+    crossing order alone; the twist route's |p| + |q| + |r|, also summed
+    over pretzel-scan's Jones rows, and pretzel-scan's row count; or a
     Seifert matrix's 8x8 for its cofactor determinants."""
 
 
 class NormalizationError(KnotObstructError):
     """Bracket exponents inconsistent with the t = A^-4 substitution.
 
-    This is a convention tripwire: it fires only if the smoothing or
-    sign conventions have been broken, never on valid knot diagrams.
+    A convention tripwire: on a planar knot diagram it fires only if the
+    smoothing or sign conventions are broken.  validate_pd does not check
+    planarity, so a virtual knot's code (X(1,3,2,4); X(2,4,3,1)) can.
     """
 
 

@@ -194,6 +194,33 @@ class TestInvariants:
         assert result.exit_code == 2
         assert f"exceeds the pretzel cap {PRETZEL_TOTAL_CAP}" in result.stderr
 
+    def test_half_turned_trefoil_exits_2(self):
+        # two quads listed from their outgoing under-strand: the code once
+        # passed validation and got the Jones polynomial of another knot
+        result = invoke("obstruct", "--pd", "X(2,5,1,4); X(4,1,3,6); X(5,2,6,3)")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "incoming under-strand" in result.stderr
+
+    def test_pretzel_scan_caps_leave_the_family_room(self):
+        # Jones rows fit the twist route's cap up to k = 222, far above the
+        # benchmark's family scan (k <= 24)
+        totals = [sum(map(abs, pretzel_family(k)[0].as_tuple())) for k in range(1, 224)]
+        assert sum(totals[:222]) <= PRETZEL_TOTAL_CAP < sum(totals)
+
+    @pytest.mark.parametrize("args, message", [
+        (("--k-max", str(cli.PRETZEL_SCAN_ROW_CAP + 1)),
+         f"{cli.PRETZEL_SCAN_ROW_CAP + 1} rows exceed the pretzel-scan cap"),
+        (("--k-max", "100000000"), "100000000 rows exceed the pretzel-scan cap"),
+        (("--k-max", "223", "--jones-upto", "223"), "sum to 250875, over the pretzel cap"),
+    ])
+    def test_over_cap_pretzel_scan_exits_2_at_once(self, args, message):
+        start = time.perf_counter()
+        result = invoke("pretzel-scan", *args)
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert message in result.stderr
+
     def test_tinv_without_spine_exits_2(self):
         result = invoke("invariants", "--pretzel", "1,1,1", "--tinv", "0,0,0,1")
         assert result.exit_code == 2

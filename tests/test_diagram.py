@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from test_moves import DIAGRAMS
 
 from knotobstruct.diagram import (
     PDCode,
@@ -56,6 +58,33 @@ class TestParse:
         for params in [(1, 1, 1), (3, -5, 7), (5, 7, -3)]:
             pd = pretzel_pd(PretzelParams(*params))
             assert parse_pd(render_pd(pd)) == pd
+
+
+class TestValidator:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DIAGRAMS, st.data())
+    def test_half_turned_quad_rejected(self, pd, data):
+        # X(c,d,a,b) starts at the outgoing under-strand: a must follow c,
+        # which needs a = a + 2 (mod 2n), so n = 1
+        i = data.draw(st.integers(0, pd.n - 1))
+        a, b, c, d = pd.crossings[i]
+        quads = pd.crossings[:i] + ((c, d, a, b),) + pd.crossings[i + 1:]
+        with pytest.raises(ValidationError, match="incoming under-strand"):
+            PDCode(quads)
+
+    def test_repeated_label_off_a_curl_rejected(self):
+        # two labels of P(-7,-3,-1) swapped: X(14,14,15,5) starts at its
+        # under-strand but its over-strand 14 -> 5 has no direction
+        quads = [list(q) for q in pretzel_pd(PretzelParams(-7, -3, -1)).crossings]
+        quads[4][1], quads[5][1] = quads[5][1], quads[4][1]
+        assert quads[4] == [14, 14, 15, 5]
+        with pytest.raises(ValidationError, match=r"unreadable at X\(14, 14, 15, 5\)"):
+            PDCode(tuple(map(tuple, quads)))
+
+    @pytest.mark.parametrize("text, sign", [("X(1,1,2,2)", -1), ("X(1,2,2,1)", 1),
+                                            ("X(2,1,1,2)", 1), ("X(2,2,1,1)", -1)])
+    def test_one_crossing_curls(self, text, sign):
+        assert writhe(parse_pd(text)) == sign
 
 
 class TestPDCodeType:
