@@ -14,7 +14,8 @@ from dataclasses import fields
 import click
 
 from .diagram import PretzelParams, parse_pd
-from .errors import DiagramTooLarge, InputSyntaxError, KnotObstructError
+from .errors import (DiagramTooLarge, InputSyntaxError, KnotObstructError,
+                     PreconditionViolation)
 from .kauffman import PRETZEL_TOTAL_CAP, jones
 from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
@@ -115,16 +116,6 @@ def _print_report(
         click.echo(f"note: {note}")
 
 
-def _single_source(pretzel, pd, seifert, spine, allow_pd_seifert=False):
-    given = sum(x is not None for x in (pretzel, pd, seifert, spine))
-    if allow_pd_seifert and pd is not None and seifert is not None:
-        given -= 1
-    if given != 1:
-        raise click.UsageError(
-            "give exactly one input source (--pretzel | --pd | --seifert | --spine)"
-        )
-
-
 class _Main(click.Group):
     """Every KnotObstructError ends the command with exit code 2."""
 
@@ -146,12 +137,11 @@ def main():
 @_input_option("tinv", "v2xx,v2yy,v2xy,v3 (with --spine)")
 @click.option("--json", "as_json", is_flag=True, help="JSON output")
 def invariants(pretzel, pd, seifert, spine, tinv, as_json):
-    """Compute all invariants available from one input source."""
-    _single_source(pretzel, pd, seifert, spine)
+    """Compute all invariants available from the given input."""
     theta = None
     if tinv is not None:
         if spine is None:
-            raise click.UsageError("--tinv needs --spine")
+            raise PreconditionViolation("--tinv needs --spine")
         # the spine route has no diagram; tangle invariants give Theta itself
         theta = reduced_two_loop(spine, tinv)
     report = cosmetic_verdict(pretzel=pretzel, pd=pd, seifert=seifert, spine=spine)
@@ -165,12 +155,6 @@ def invariants(pretzel, pd, seifert, spine, tinv, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output")
 def obstruct(pretzel, pd, seifert, spine, jones_poly, as_json):
     """Run the cosmetic-crossing decision procedure and print the verdict."""
-    _single_source(pretzel, pd, seifert, spine, allow_pd_seifert=True)
-    if jones_poly is not None and (pretzel is not None or pd is not None):
-        raise click.UsageError(
-            "--jones goes with --seifert or --spine; "
-            "--pretzel and --pd compute their own Jones polynomial"
-        )
     report = cosmetic_verdict(
         pretzel=pretzel, pd=pd, seifert=seifert, spine=spine, jones_poly=jones_poly
     )
@@ -186,7 +170,7 @@ def obstruct(pretzel, pd, seifert, spine, jones_poly, as_json):
 def pretzel_scan(k_min, k_max, jones_upto, as_json):
     """Sweep the trivial-Alexander family P(4k+1, 4k+3, -(2k+1))."""
     if not 1 <= k_min <= k_max:
-        raise click.UsageError("need 1 <= k-min <= k-max")
+        raise PreconditionViolation("need 1 <= k-min <= k-max")
     ks = range(k_min, k_max + 1)
     if len(ks) > PRETZEL_SCAN_ROW_CAP:
         raise DiagramTooLarge(

@@ -88,11 +88,15 @@ def validate_pd(pd: PDCode) -> None:
     direction is readable (see crossing_sign); and every label enters
     exactly one crossing, at a or at the over-strand's incoming slot.
     Together these force the walk 1 -> 2 -> ... -> 2n -> 1, so a link or
-    a half-turned quad raises ValidationError.
+    a half-turned quad raises ValidationError.  Last, the faces are the
+    orbits of "follow the edge to its other end, then turn to the previous
+    slot" on the darts 4i + s (slot s of crossing i); by Euler's formula
+    the connected diagram is planar exactly when n >= 1 crossings give
+    n + 2 faces, so a virtual knot's code raises ValidationError too.
     """
     n = pd.n
-    labels = sorted(e for quad in pd.crossings for e in quad)
-    if labels != sorted(2 * list(range(1, 2 * n + 1))):
+    flat = [e for quad in pd.crossings for e in quad]  # label at dart 4i + s
+    if sorted(flat) != sorted(2 * list(range(1, 2 * n + 1))):
         raise ValidationError(
             f"edge labels must be 1..{2*n}, each appearing exactly twice"
         )
@@ -107,6 +111,23 @@ def validate_pd(pd: PDCode) -> None:
         entered.update((a, b if crossing_sign(quad, n) > 0 else d))
     if len(entered) != 2 * n:
         raise ValidationError("the edge labels do not trace out one oriented knot")
+    # a dart's turn: to the other end of its edge, then the previous slot
+    by_label = sorted(range(4 * n), key=flat.__getitem__)
+    turn = [0] * (4 * n)
+    for a, b in zip(by_label[::2], by_label[1::2]):
+        turn[a] = b - 1 if b % 4 else b + 3
+        turn[b] = a - 1 if a % 4 else a + 3
+    faces = 0
+    for dart in range(4 * n):
+        if turn[dart] >= 0:
+            faces += 1
+            while turn[dart] >= 0:  # walk the face, marking its darts -1
+                turn[dart], dart = -1, turn[dart]
+    if n and faces != n + 2:
+        raise ValidationError(
+            f"the code has {faces} faces, not the {n + 2} of a planar diagram "
+            f"with {n} crossings: it is not planar (a virtual knot)"
+        )
 
 
 def crossing_sign(quad: Quad, n: int) -> int:
@@ -157,7 +178,6 @@ def mirror(pd: PDCode) -> PDCode:
 # tests.
 # ---------------------------------------------------------------------------
 
-_SLOTS = ("NW", "NE", "SE", "SW")
 _STRAIGHT = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 # counterclockwise slot cycle around a crossing
 _CCW = {"NW": "SW", "SW": "SE", "SE": "NE", "NE": "NW"}
@@ -175,7 +195,6 @@ def pretzel_pd(params: PretzelParams) -> PDCode:
     for sz in sizes:
         ids.append(list(range(k, k + sz)))
         k += sz
-    total = k
 
     # arcs between crossing slots: each (crossing, slot) has one partner
     conn: dict[tuple[int, str], tuple[int, str]] = {}
@@ -204,11 +223,6 @@ def pretzel_pd(params: PretzelParams) -> PDCode:
         pos = conn[(ci, _STRAIGHT[slot])]
         if pos == start:
             break
-    if len(entries) != 2 * total:
-        raise ValidationError(
-            f"pretzel P{params.as_tuple()} is not a knot "
-            f"(traversal closed after {len(entries)} of {2*total} passes)"
-        )
 
     # label edges 1..2n along the orientation; edge k enters at entries[k-1]
     label: dict[tuple[int, str], int] = {}

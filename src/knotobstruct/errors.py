@@ -30,18 +30,14 @@ class DiagramTooLarge(KnotObstructError):
 class NormalizationError(KnotObstructError):
     """Bracket exponents inconsistent with the t = A^-4 substitution.
 
-    A convention tripwire: on a planar knot diagram it fires only if the
-    smoothing or sign conventions are broken.  validate_pd does not check
-    planarity, so a virtual knot's code (X(1,3,2,4); X(2,4,3,1)) can.
+    A convention tripwire: on a planar knot diagram, the only kind
+    validate_pd accepts, it fires only if the smoothing or sign
+    conventions are broken.
     """
 
 
 class NonNormalizable(KnotObstructError):
     """No unit multiple of the polynomial is symmetric with value 1 at t=1."""
-
-
-class SingularForm(KnotObstructError):
-    """The symmetrized Seifert form V + V^T is singular."""
 
 
 class PreconditionViolation(KnotObstructError):

@@ -9,7 +9,6 @@ A cosmetic crossing would force Ob into 16Z, so Ob outside 16Z obstructs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -151,22 +150,26 @@ def cosmetic_verdict(
     Input is one of: pretzel parameters (both routes, fast), a PD code
     (optionally with a Seifert matrix), or a Seifert matrix or spine
     (optionally with a precomputed Jones polynomial); any other combination
-    raises PreconditionViolation.  Genus-one status is the caller's
-    assertion.  The Alexander polynomial is computed once from the Seifert
-    matrix; the determinant is its |Delta(-1)|.
-    With KNOTOBSTRUCT_STRICT=1 in the environment a |V(-1)| vs
-    |Delta(-1)| mismatch raises InconsistentInput; otherwise it is
-    recorded as a note.
+    raises PreconditionViolation, named by the CLI options.  The
+    Alexander polynomial is computed once from the Seifert matrix, and the
+    determinant is its |Delta(-1)|.  Genus one is the caller's assertion;
+    a Delta of degree over 1 refutes it and raises PreconditionViolation.
+    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.
     """
     notes: list[str] = []
 
+    given = [x is not None for x in (pretzel, pd, seifert, spine)]
+    if sum(given) != 1 and given != [False, True, True, False]:
+        raise PreconditionViolation(
+            "give one input source (--pretzel | --pd | --seifert | --spine), "
+            "or --pd with --seifert"
+        )
     if jones_poly is not None and (pretzel is not None or pd is not None):
-        raise PreconditionViolation("jones_poly goes with seifert or spine input")
-    if spine is not None and (pd is not None or seifert is not None):
-        raise PreconditionViolation("spine input excludes pd and seifert")
+        raise PreconditionViolation(
+            "--jones goes with --seifert or --spine; "
+            "--pretzel and --pd compute their own Jones polynomial"
+        )
     if pretzel is not None:
-        if pd is not None or seifert is not None or spine is not None:
-            raise PreconditionViolation("pretzel input excludes other sources")
         seifert = pretzel_seifert(pretzel)
         jp = jones(pretzel)
     elif spine is not None:
@@ -176,14 +179,17 @@ def cosmetic_verdict(
         if pd.n == 0:
             seifert = seifert or SeifertMatrix([])  # crossingless unknot
         jp = jones(pd)
-    elif seifert is not None:
-        jp = jones_poly
     else:
-        raise PreconditionViolation("no input given")
+        jp = jones_poly
 
     alex = det = sigma = None
     if seifert is not None:
         alex = alexander_from_seifert(seifert)
+        if alex.max_exp() > 1:  # span Delta <= 2 genus
+            raise PreconditionViolation(
+                f"Delta = {alex.render()} has degree {alex.max_exp()}: "
+                "not a genus-one knot"
+            )
         det = abs(alex.evaluate(-1))
         sigma = signature(seifert)
 
@@ -200,25 +206,14 @@ def cosmetic_verdict(
         notes.append(_LAMBDA_NOTE)
         if sigma is not None:
             lam = _lambda_w(vm1, dvm1, sigma)
-        if det is not None:
-            jdet = abs(vm1)
-            if jdet != det:
-                msg = (
-                    f"|V(-1)| = {jdet} disagrees with |Delta(-1)| = {det}: "
-                    "inconsistent diagram/matrix pair"
-                )
-                if os.environ.get("KNOTOBSTRUCT_STRICT") == "1":
-                    raise InconsistentInput(msg)
-                notes.append(msg)
+        if det is not None and abs(vm1) != det:
+            raise InconsistentInput(
+                f"|V(-1)| = {abs(vm1)} disagrees with |Delta(-1)| = {det}: "
+                "the Jones polynomial and the Seifert matrix belong to "
+                "different knots"
+            )
 
-    trivial_alex = alex == LaurentPoly.one() if alex is not None else None
-    if trivial_alex is not None and sigma not in (None, 0) and trivial_alex:
-        notes.append(
-            f"sigma = {sigma} with trivial Alexander polynomial: "
-            "inconsistent with the algebraically slice setting"
-        )
-
-    if alex is not None and not trivial_alex:
+    if alex is not None and alex != LaurentPoly.one():
         verdict = VERDICT_NONTRIVIAL_ALEXANDER
     elif alex is not None and ob is not None and mod16:
         verdict = VERDICT_MOD16

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .diagram import PretzelParams
-from .errors import DiagramTooLarge, SingularForm, ValidationError
+from .errors import DiagramTooLarge, ValidationError
 from .laurent import LaurentPoly
 
 #: Largest accepted Seifert matrix (genus 4): determinants are taken by
@@ -129,8 +129,11 @@ def signature(V: SeifertMatrix) -> int:
 
     Row and column j are cleared as p * (row j) - m[j][i] * (pivot row),
     and likewise for columns: an invertible congruence, so the inertia is
-    kept (Sylvester's law) without dividing.  A zero pivot is cured by a
-    swap, or by adding a partner row and column with a nonzero entry.
+    kept (Sylvester's law) without dividing.  det(V + V^T) is odd, as
+    det(V - V^T) = 1 is, so V + V^T and every block left by the clearing
+    are nonsingular: a zero pivot m[i][i] has a first m[i][j] != 0, and
+    adding s * (row j) and s * (column j) makes the pivot
+    2 s m[i][j] + m[j][j], nonzero for s = 1 or for s = -1.
     """
     n = V.size
     vt = V.transpose()
@@ -138,19 +141,12 @@ def signature(V: SeifertMatrix) -> int:
     pos = neg = 0
     for i in range(n):
         if m[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
-            if j is not None:
-                m[i], m[j] = m[j], m[i]
-                for row in m:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
-                if j is None:
-                    raise SingularForm("V + V^T is singular")
-                for k in range(n):
-                    m[i][k] += m[j][k]
-                for k in range(n):
-                    m[k][i] += m[k][j]
+            j = next(k for k in range(i + 1, n) if m[i][k])
+            s = 1 if 2 * m[i][j] + m[j][j] else -1
+            for k in range(n):
+                m[i][k] += s * m[j][k]
+            for k in range(n):
+                m[k][i] += s * m[k][j]
         piv = m[i][i]
         if piv > 0:
             pos += 1

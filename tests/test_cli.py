@@ -15,6 +15,8 @@ from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import json_value, pretzel_family
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
+#: trefoil # trefoil, whose Delta = (t - 1 + t^-1)^2 rules out genus one
+GENUS_TWO = "-1,1,0,0;0,-1,0,0;0,0,-1,1;0,0,0,-1"
 
 
 def invoke(*args, **kwargs):
@@ -94,11 +96,30 @@ class TestInvariants:
         assert doc["verdict"] == "Inconclusive"
 
     def test_requires_exactly_one_source(self):
-        assert invoke("invariants").exit_code == 2
-        assert (
-            invoke("invariants", "--pretzel", "1,1,1", "--spine", "0,0,0").exit_code
-            == 2
-        )
+        for args in [(), ("--pretzel", "1,1,1", "--spine", "0,0,0")]:
+            result = invoke("invariants", *args)
+            assert result.exit_code == 2
+            assert result.stderr == ("error: give one input source (--pretzel | --pd | "
+                                     "--seifert | --spine), or --pd with --seifert\n")
+
+    def test_pd_plus_seifert_pair(self):
+        result = invoke("invariants", "--pd", TREFOIL_PD, "--seifert", "-1,1;0,-1")
+        assert result.exit_code == 0
+        assert "HoldsNontrivialAlexander" in result.output
+
+    @pytest.mark.parametrize("args, message", [
+        (("obstruct", "--pd", TREFOIL_PD, "--seifert", "1,1;0,-1"),
+         "|V(-1)| = 3 disagrees with |Delta(-1)| = 5"),
+        (("obstruct", "--pretzel", "1,1,1", "--jones", "-1*t^4 + 1*t^3 + 1*t^1"),
+         "--jones goes with --seifert or --spine"),
+        (("obstruct", "--seifert", GENUS_TWO), "not a genus-one knot"),
+        (("obstruct", "--pd", "X(1,3,2,4); X(2,4,3,1)"), "not planar"),
+    ])
+    def test_bad_input_exits_2_with_one_error_line(self, args, message):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert message in result.stderr
 
     def test_bad_pretzel_exits_2(self):
         result = invoke("invariants", "--pretzel", "2,3,5")
@@ -224,7 +245,7 @@ class TestInvariants:
     def test_tinv_without_spine_exits_2(self):
         result = invoke("invariants", "--pretzel", "1,1,1", "--tinv", "0,0,0,1")
         assert result.exit_code == 2
-        assert "--tinv needs --spine" in result.output
+        assert result.stderr == "error: --tinv needs --spine\n"
 
 
 class TestObstruct:
@@ -258,7 +279,10 @@ class TestObstruct:
     def test_jones_with_own_jones_source_exits_2(self, source):
         result = invoke("obstruct", *source, "--jones", "-1*t^4 + 1*t^3 + 1*t^1")
         assert result.exit_code == 2
-        assert "--jones goes with --seifert or --spine" in result.output
+        assert result.stderr == (
+            "error: --jones goes with --seifert or --spine; "
+            "--pretzel and --pd compute their own Jones polynomial\n"
+        )
 
     def test_pd_past_brute_cap(self):
         params = PretzelParams(13, 15, -7)
@@ -325,7 +349,9 @@ class TestPretzelScan:
         assert "mod16_obstructs=True" in result.output
 
     def test_bad_range(self):
-        assert invoke("pretzel-scan", "--k-min", "3", "--k-max", "1").exit_code != 0
+        result = invoke("pretzel-scan", "--k-min", "3", "--k-max", "1")
+        assert result.exit_code == 2
+        assert result.stderr == "error: need 1 <= k-min <= k-max\n"
 
 
 class TestBatch:
@@ -372,6 +398,14 @@ class TestBatch:
         assert "'x'" in by_label["bad_seifert"]["error"]
         assert by_label["trefoil"]["report"]["determinant"] == 3
         assert doc["summary"] == {"error": 2, "HoldsNontrivialAlexander": 1}
+
+    def test_genus_two_matrix_is_an_error_row(self, tmp_path):
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text(f'kind,label,payload\nseifert,sum,"{GENUS_TWO}"\n')
+        result = invoke("batch", "--input", str(csv_path))
+        assert result.exit_code == 0
+        (row,) = json.loads(result.stdout)["results"]
+        assert "not a genus-one knot" in row["error"] and row["line"] == 2
 
     def test_empty_csv(self, tmp_path):
         csv_path = tmp_path / "empty.csv"

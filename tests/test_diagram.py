@@ -9,6 +9,7 @@ from knotobstruct.diagram import (
     parse_pd,
     pretzel_pd,
     render_pd,
+    validate_pd,
     writhe,
 )
 from knotobstruct.errors import PDSyntaxError, ValidationError
@@ -80,6 +81,19 @@ class TestValidator:
         assert quads[4] == [14, 14, 15, 5]
         with pytest.raises(ValidationError, match=r"unreadable at X\(14, 14, 15, 5\)"):
             PDCode(tuple(map(tuple, quads)))
+
+    def test_virtual_trefoil_rejected(self):
+        # every crossing keeps the local rules, but the code has 2 faces
+        # where a planar diagram with 2 crossings has 4
+        with pytest.raises(ValidationError, match="has 2 faces, not the 4"):
+            parse_pd("X(1,3,2,4); X(2,4,3,1)")
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DIAGRAMS)
+    def test_moved_diagrams_pass_the_face_count(self, pd):
+        # R1 curls, R2 fingers and relabellings keep a diagram planar
+        validate_pd(pd)
+        validate_pd(mirror(pd))
 
     @pytest.mark.parametrize("text, sign", [("X(1,1,2,2)", -1), ("X(1,2,2,1)", 1),
                                             ("X(2,1,1,2)", 1), ("X(2,2,1,1)", -1)])

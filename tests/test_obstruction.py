@@ -149,15 +149,29 @@ class TestCosmeticVerdict:
         assert report.jones is None
         assert report.verdict == "Inconclusive"
 
-    def test_strict_mode_catches_mismatch(self, monkeypatch):
+    def test_inconsistent_pair_raises(self):
+        # the trefoil's diagram with the figure-eight's matrix
         pd = parse_pd("X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)")
         fig8_matrix = SeifertMatrix([[1, 1], [0, -1]])
-        monkeypatch.delenv("KNOTOBSTRUCT_STRICT", raising=False)
-        report = cosmetic_verdict(pd=pd, seifert=fig8_matrix)
-        assert any("disagrees" in n for n in report.notes)
-        monkeypatch.setenv("KNOTOBSTRUCT_STRICT", "1")
-        with pytest.raises(InconsistentInput):
+        with pytest.raises(InconsistentInput, match=r"\|V\(-1\)\| = 3 disagrees "
+                                                    r"with \|Delta\(-1\)\| = 5"):
             cosmetic_verdict(pd=pd, seifert=fig8_matrix)
+
+    def test_genus_two_alexander_raises(self):
+        # trefoil # trefoil: Delta = (t - 1 + t^-1)^2 has a t^2 term
+        matrix = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 0, 0],
+                                [0, 0, -1, 1], [0, 0, 0, -1]])
+        with pytest.raises(PreconditionViolation, match="not a genus-one knot"):
+            cosmetic_verdict(seifert=matrix)
+
+    def test_larger_matrix_of_genus_one_alexander_accepted(self):
+        # the trefoil's block beside [[0, 1], [0, 0]], whose Delta is 1
+        matrix = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 0, 0],
+                                [0, 0, 0, 1], [0, 0, 0, 0]])
+        report = cosmetic_verdict(seifert=matrix, jones_poly=TREFOIL_V)
+        assert report.alexander == LaurentPoly({1: 1, 0: -1, -1: 1})
+        assert report.sigma == -2
+        assert report.verdict == "HoldsNontrivialAlexander"
 
     @pytest.mark.parametrize("kwargs", [
         {"pretzel": PretzelParams(1, 1, 1), "jones_poly": TREFOIL_V},

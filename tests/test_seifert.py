@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams
 from knotobstruct.errors import DiagramTooLarge, ValidationError
@@ -158,9 +159,58 @@ class TestSignature:
             assert signature(SeifertMatrix(pv)) == sig
 
 
+@st.composite
+def seifert_matrices(draw):
+    """P^T W P for W = [[A, I + C], [C^T, D]] (g x g blocks, A and D
+    symmetric, so W - W^T is the standard symplectic form) and an
+    integer shear product P.  Half the draws take A = C = 0, where
+    det(W - t W^T) = +-t^g and so Delta = 1."""
+    g = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    square = st.lists(st.lists(entry, min_size=g, max_size=g), min_size=g, max_size=g)
+    a, c, d = draw(square), draw(square), draw(square)
+    trivial = draw(st.booleans())
+    if trivial:
+        a = c = [[0] * g for _ in range(g)]
+    w = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        for j in range(g):
+            w[i][j] = a[min(i, j)][max(i, j)]
+            w[g + i][g + j] = d[min(i, j)][max(i, j)]
+            w[i][g + j] = c[i][j] + (i == j)
+            w[g + i][j] = c[j][i]
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, 2 * g - 1),
+                                           st.integers(0, 2 * g - 1), entry),
+                                 max_size=4)):
+        if i != j:  # add k (row j, column j) to row i, column i
+            for row in w:
+                row[i] += k * row[j]
+            w[i] = [x + k * y for x, y in zip(w[i], w[j])]
+    return SeifertMatrix(w), trivial
+
+
+class TestSeifertFacts:
+    """The two facts signature and cosmetic_verdict rely on, on random
+    Seifert matrices up to 6x6."""
+
+    @given(seifert_matrices())
+    def test_symmetrized_form_has_odd_determinant(self, case):
+        v, _ = case
+        assert _det([[a + b for a, b in zip(row, col)]
+                     for row, col in zip(v.rows, v.transpose())]) % 2 == 1
+
+    @given(seifert_matrices())
+    def test_trivial_alexander_has_zero_signature(self, case):
+        v, trivial = case
+        if trivial:
+            assert alexander_from_seifert(v) == LaurentPoly.one()
+        if alexander_from_seifert(v) == LaurentPoly.one():
+            assert signature(v) == 0
+
+
 class TestSympyOracle:
     """sympy checks _det and signature on sizes 3-8, the only ones that
-    reach the general cofactor path and both zero-pivot cures."""
+    reach the general cofactor path and the zero-pivot cure."""
 
     def test_det(self):
         sympy = pytest.importorskip("sympy")
