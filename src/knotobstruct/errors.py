@@ -24,7 +24,8 @@ class DiagramTooLarge(KnotObstructError):
     open-boundary width and its work estimate, both taken from the
     crossing order alone; the twist route's |p| + |q| + |r|, also summed
     over pretzel-scan's Jones rows, and pretzel-scan's row count; or a
-    Seifert matrix's 8x8 for its cofactor determinants."""
+    Seifert matrix's 8x8 for the cofactor expansion of its one
+    determinant, det(V - t V^T)."""
 
 
 class NormalizationError(KnotObstructError):
@@ -34,10 +35,6 @@ class NormalizationError(KnotObstructError):
     validate_pd accepts, it fires only if the smoothing or sign
     conventions are broken.
     """
-
-
-class NonNormalizable(KnotObstructError):
-    """No unit multiple of the polynomial is symmetric with value 1 at t=1."""
 
 
 class PreconditionViolation(KnotObstructError):

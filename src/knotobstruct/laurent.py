@@ -14,8 +14,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import NonNormalizable
-
 Scalar = Union[int, Fraction]
 
 
@@ -186,30 +184,6 @@ class LaurentPoly:
         if k == 0:
             raise ValueError("k must be nonzero")
         return LaurentPoly({e * k: c for e, c in self._terms.items()})
-
-    def is_symmetric(self) -> bool:
-        """True iff coeff(e) == coeff(-e) for every exponent."""
-        return all(self.coeff(-e) == c for e, c in self._terms.items())
-
-    def alexander_normalize(self) -> "LaurentPoly":
-        """The unique associate +-t^k * p with value 1 at t=1 and symmetric coefficients.
-
-        Raises NonNormalizable when no such associate exists (p(1) not a
-        unit, or no shift centers the polynomial symmetrically).
-        """
-        if self.is_zero():
-            raise NonNormalizable("zero polynomial")
-        u = self.evaluate(1)
-        if u not in (1, -1):
-            raise NonNormalizable(f"value at t=1 is {u}, not a unit")
-        p = self if u == 1 else -self
-        span = p.min_exp() + p.max_exp()
-        if span % 2:
-            raise NonNormalizable("no centering shift exists (odd exponent span)")
-        p = p.shift(-span // 2)
-        if not p.is_symmetric():
-            raise NonNormalizable("no unit multiple is symmetric")
-        return p
 
     # -- text form ---------------------------------------------------------
 

@@ -20,6 +20,7 @@ from .seifert import (
     GenusOneSpine,
     SeifertMatrix,
     alexander_from_seifert,
+    knot_determinant,
     pretzel_seifert,
     seifert_from_spine,
     signature,
@@ -67,6 +68,19 @@ def w3(jones_poly: LaurentPoly) -> Fraction:
     """(1/36) V'''(1) + (1/12) V''(1), the degree-3 finite type invariant."""
     v2, v3, _, _ = jones_values(jones_poly)
     return _w3(v2, v3)
+
+
+def _require_knot_jones(jones_poly: LaurentPoly) -> None:
+    """Refuse a supplied V that is no knot's: every knot's Jones
+    polynomial has integer coefficients, V(1) = 1 and V'(1) = 0."""
+    terms = jones_poly.terms.items()
+    if (any(c.denominator != 1 for _, c in terms)
+            or sum(c for _, c in terms) != 1
+            or sum(e * c for e, c in terms) != 0):
+        raise PreconditionViolation(
+            f"V = {jones_poly.render()} is no knot's Jones polynomial, which "
+            "has integer coefficients, V(1) = 1 and V'(1) = 0"
+        )
 
 
 def _lambda_w(vm1: Scalar, dvm1: Scalar, sigma: int) -> Fraction:
@@ -150,9 +164,10 @@ def cosmetic_verdict(
     Input is one of: pretzel parameters (both routes, fast), a PD code
     (optionally with a Seifert matrix), or a Seifert matrix or spine
     (optionally with a precomputed Jones polynomial); any other combination
-    raises PreconditionViolation, named by the CLI options.  The
-    Alexander polynomial is computed once from the Seifert matrix, and the
-    determinant is its |Delta(-1)|.  Genus one is the caller's assertion;
+    raises PreconditionViolation, named by the CLI options, and so does a
+    supplied Jones polynomial that is no knot's.  The Alexander
+    polynomial is the one the Seifert matrix keeps, and the determinant
+    is its |Delta(-1)|.  Genus one is the caller's assertion;
     a Delta of degree over 1 refutes it and raises PreconditionViolation.
     A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.
     """
@@ -181,6 +196,8 @@ def cosmetic_verdict(
         jp = jones(pd)
     else:
         jp = jones_poly
+    if jones_poly is not None:
+        _require_knot_jones(jones_poly)
 
     alex = det = sigma = None
     if seifert is not None:
@@ -190,7 +207,7 @@ def cosmetic_verdict(
                 f"Delta = {alex.render()} has degree {alex.max_exp()}: "
                 "not a genus-one knot"
             )
-        det = abs(alex.evaluate(-1))
+        det = knot_determinant(seifert)
         sigma = signature(seifert)
 
     w3v = lam = th1 = thm1 = ob = None

@@ -1,7 +1,8 @@
 """Seifert-matrix calculus and the genus-one spine model.
 
 A Seifert matrix V of a knot satisfies det(V - V^T) = 1; the Alexander
-polynomial is det(V - t V^T) normalized symmetric with value 1 at t = 1.
+polynomial is t^(-g) det(V - t V^T) for a 2g x 2g matrix, symmetric with
+value 1 at t = 1.
 The genus-one spine carries the framings (n, m), the linking number ell
 of the two spine strands, and the explicit sign eps of the off-diagonal
 ell +- 1 entry; d = n*m - ell^2 - ell.
@@ -16,15 +17,21 @@ from .diagram import PretzelParams
 from .errors import DiagramTooLarge, ValidationError
 from .laurent import LaurentPoly
 
-#: Largest accepted Seifert matrix (genus 4): determinants are taken by
-#: cofactor expansion, whose cost grows as size!
+#: Largest accepted Seifert matrix (genus 4): its one determinant,
+#: det(V - t V^T), is a cofactor expansion, whose cost grows as size!
 MAX_SEIFERT_SIZE = 8
 
 
 class SeifertMatrix:
-    """Square integer matrix with det(V - V^T) = 1, checked on construction."""
+    """Square integer matrix with det(V - V^T) = 1, checked on construction.
 
-    __slots__ = ("rows",)
+    One determinant serves both: det(V - t V^T) is det(V - V^T) at t = 1,
+    and, transposed, equals t^size det(V - t^-1 V^T), so its t^(-size/2)
+    shift is the Alexander polynomial, symmetric with value 1 at t = 1.
+    An odd-size V has det(V - V^T) = 0 and never reaches the shift.
+    """
+
+    __slots__ = ("rows", "_alexander")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -37,12 +44,16 @@ class SeifertMatrix:
                 f"{MAX_SEIFERT_SIZE}x{MAX_SEIFERT_SIZE} cap"
             )
         self.rows = rows
-        det = _det([[a - b for a, b in zip(row, col)]
-                    for row, col in zip(rows, self.transpose())])
-        if det != 1:
+        # the sum coerces _det's plain int for an empty or all-zero first row
+        det = LaurentPoly.zero() + _det(
+            [[LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)]
+             for row, col in zip(rows, self.transpose())])
+        at_one = det.evaluate(1)
+        if at_one != 1:
             raise ValidationError(
-                f"det(V - V^T) = {det} != 1: not a Seifert matrix of a knot"
+                f"det(V - V^T) = {at_one} != 1: not a Seifert matrix of a knot"
             )
+        self._alexander = det.shift(-(size // 2))
 
     @property
     def size(self) -> int:
@@ -111,11 +122,8 @@ def crossing_change(s: GenusOneSpine, sign: int) -> GenusOneSpine:
 
 
 def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
-    """Normalized Alexander polynomial det(V - t V^T)."""
-    if V.size == 0:
-        return LaurentPoly.one()
-    return _det([[LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)]
-                 for row, col in zip(V.rows, V.transpose())]).alexander_normalize()
+    """Normalized Alexander polynomial t^(-g) det(V - t V^T), kept by V."""
+    return V._alexander
 
 
 def alexander_genus_one(s: GenusOneSpine) -> LaurentPoly:

@@ -85,22 +85,21 @@ def framing_difference_closed_form(
     return inner.scale(-sign)
 
 
+def _constraint_residuals(d, v) -> tuple[Fraction, Fraction]:
+    """Left-hand sides, at (d, v2yy) = (d, v), of the two coefficient
+    equations of the framing-difference polynomial,
+      d(-(2d+1)/3 - 4 v2yy) = 0   and   d(4d-4)/3 + 4 v2yy (2d-1) = 0."""
+    return (d * (-Fraction(2 * d + 1, 3) - 4 * v),
+            Fraction(d * (4 * d - 4), 3) + 4 * v * (2 * d - 1))
+
+
 def constraint_solutions(bound: int) -> set[tuple[int, int]]:
     """Integer pairs (d, v2yy) in [-bound, bound]^2 killing the
-    framing-difference polynomial.
-
-    The two coefficient equations are
-      d(-(2d+1)/3 - 4 v2yy) = 0   and   d(4d-4)/3 + 4 v2yy (2d-1) = 0;
-    over the integers the only solution is (0, 0).
-    """
-    out = set()
+    framing-difference polynomial; over the integers the only solution
+    is (0, 0)."""
     rng = range(-bound, bound + 1)
-    for d, v in product(rng, rng):
-        eq1 = d * (-Fraction(2 * d + 1, 3) - 4 * v)
-        eq2 = Fraction(d * (4 * d - 4), 3) + 4 * v * (2 * d - 1)
-        if eq1 == 0 and eq2 == 0:
-            out.add((d, v))
-    return out
+    return {(d, v) for d, v in product(rng, rng)
+            if _constraint_residuals(d, v) == (0, 0)}
 
 
 def constraint_solutions_rational() -> list[tuple[Fraction, Fraction]]:
@@ -109,14 +108,11 @@ def constraint_solutions_rational() -> list[tuple[Fraction, Fraction]]:
     Branch d = 0 forces v2yy = 0; otherwise the first equation gives
     4 v2yy = -(2d+1)/3, and substituting into the second leaves
     (1 - 4d)/3 = 0, i.e. the non-integral root d = 1/4, v2yy = -1/8.
+    Each candidate is returned only if both residuals vanish there.
     """
-    solutions = [(Fraction(0), Fraction(0))]
     d = Fraction(1, 4)
-    v = -(2 * d + 1) / 12
-    eq2 = d * (4 * d - 4) / 3 + 4 * v * (2 * d - 1)
-    assert eq2 == 0
-    solutions.append((d, v))
-    return solutions
+    candidates = [(Fraction(0), Fraction(0)), (d, -(2 * d + 1) / 12)]
+    return [c for c in candidates if _constraint_residuals(*c) == (0, 0)]
 
 
 def theta_difference_identity(s: GenusOneSpine, ti: TangleInvariants) -> Fraction:

@@ -114,6 +114,10 @@ class TestInvariants:
          "--jones goes with --seifert or --spine"),
         (("obstruct", "--seifert", GENUS_TWO), "not a genus-one knot"),
         (("obstruct", "--pd", "X(1,3,2,4); X(2,4,3,1)"), "not planar"),
+        (("obstruct", "--seifert", "0,1;0,0", "--jones", "t"),
+         "is no knot's Jones polynomial"),
+        (("obstruct", "--spine", "0,0,0", "--jones", "1/2*t^2+1/2"),
+         "is no knot's Jones polynomial"),
     ])
     def test_bad_input_exits_2_with_one_error_line(self, args, message):
         result = invoke(*args)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
-from knotobstruct.errors import NonNormalizable
 from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.seifert import GenusOneSpine, SeifertMatrix, alexander_from_seifert
@@ -93,45 +92,18 @@ class TestDerivative:
 
 
 class TestSymmetry:
+    """Inverting the variable is the symmetry check: p = p(t^-1)."""
+
     def test_examples(self):
-        assert poly({1: 1, 0: -1, -1: 1}).is_symmetric()
-        assert not poly({2: 1, -1: 1}).is_symmetric()
+        p = poly({1: 1, 0: -1, -1: 1})
+        assert p.substitute_power(-1) == p
+        q = poly({2: 1, -1: 1})
+        assert q.substitute_power(-1) != q
 
     @given(st.fractions(min_value=-9, max_value=9, max_denominator=5))
     def test_genus_one_shape(self, d):
-        assert poly({1: d, 0: 1 - 2 * d, -1: d}).is_symmetric()
-
-
-class TestAlexanderNormalize:
-    def test_trefoil(self):
-        assert poly({2: 1, 1: -1, 0: 1}).alexander_normalize() == poly(
-            {1: 1, 0: -1, -1: 1}
-        )
-
-    def test_constant(self):
-        assert LaurentPoly.one().alexander_normalize() == LaurentPoly.one()
-
-    def test_figure_eight(self):
-        assert poly({3: -1, 2: 3, 1: -1}).alexander_normalize() == poly(
-            {1: -1, 0: 3, -1: -1}
-        )
-
-    def test_value_zero_rejected(self):
-        with pytest.raises(NonNormalizable):
-            (T - 1).alexander_normalize()
-
-    def test_nonunit_rejected(self):
-        with pytest.raises(NonNormalizable):
-            poly({0: 2}).alexander_normalize()
-
-    @given(polys)
-    def test_normalized_properties(self, p):
-        try:
-            q = p.alexander_normalize()
-        except NonNormalizable:
-            return
-        assert q.evaluate(1) == 1
-        assert q.is_symmetric()
+        p = poly({1: d, 0: 1 - 2 * d, -1: d})
+        assert p.substitute_power(-1) == p
 
 
 class TestTextForm:

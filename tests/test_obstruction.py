@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from knotobstruct.diagram import PretzelParams, parse_pd
 from knotobstruct.errors import InconsistentInput, PreconditionViolation
 from knotobstruct.kauffman import jones
-from knotobstruct.laurent import LaurentPoly
+from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.obstruction import (
     cosmetic_verdict,
     jones_values,
@@ -142,6 +142,17 @@ class TestCosmeticVerdict:
         )
         assert report.verdict == "HoldsNontrivialAlexander"
         assert report.determinant == 3
+
+    @pytest.mark.parametrize("text", [
+        "1*t^1",                      # V'(1) = 1
+        "1/2*t^2 + 1/2",              # V(1) = 1, V'(1) = 1, not integral
+        "2",                          # V(1) = 2
+        "1/2*t^2 - 1*t^1 + 3/2",      # V(1) = 1 and V'(1) = 0, not integral
+    ])
+    def test_supplied_jones_of_no_knot_raises(self, text):
+        with pytest.raises(PreconditionViolation, match="no knot's Jones"):
+            cosmetic_verdict(seifert=SeifertMatrix([[0, 1], [0, 0]]),
+                             jones_poly=parse_laurent(text))
 
     def test_seifert_only(self):
         report = cosmetic_verdict(seifert=SeifertMatrix([[6, 4], [3, 2]]))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from knotobstruct.diagram import PretzelParams
 from knotobstruct.errors import DiagramTooLarge, ValidationError
@@ -42,8 +42,19 @@ class TestSeifertMatrix:
     def test_invalid_rejected(self):
         with pytest.raises(ValidationError):
             SeifertMatrix([[1, 0], [0, 1]])  # det(V - V^T) = 0
+        with pytest.raises(ValidationError, match=r"det\(V - V\^T\) = 4 != 1"):
+            SeifertMatrix([[0, 2], [0, 0]])
         with pytest.raises(ValidationError):
             SeifertMatrix([[1, 2], [3]])
+
+    @given(st.sampled_from([1, 3, 5]).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_odd_size_rejected(self, rows):
+        # V - V^T is skew, so det(V - V^T) = 0 at odd size: the t^(-size/2)
+        # shift to Delta is only ever taken at even size
+        with pytest.raises(ValidationError, match=r"det\(V - V\^T\) = 0 != 1"):
+            SeifertMatrix(rows)
 
     def test_size_cap(self):
         assert trefoil_sum(MAX_SEIFERT_SIZE // 2).size == MAX_SEIFERT_SIZE
@@ -190,7 +201,7 @@ def seifert_matrices(draw):
 
 
 class TestSeifertFacts:
-    """The two facts signature and cosmetic_verdict rely on, on random
+    """The facts signature and cosmetic_verdict rely on, on random
     Seifert matrices up to 6x6."""
 
     @given(seifert_matrices())
@@ -198,6 +209,13 @@ class TestSeifertFacts:
         v, _ = case
         assert _det([[a + b for a, b in zip(row, col)]
                      for row, col in zip(v.rows, v.transpose())]) % 2 == 1
+
+    @given(seifert_matrices())
+    def test_alexander_is_normalized(self, case):
+        v, _ = case
+        delta = alexander_from_seifert(v)
+        assert delta.evaluate(1) == 1
+        assert delta == delta.substitute_power(-1)
 
     @given(seifert_matrices())
     def test_trivial_alexander_has_zero_signature(self, case):
@@ -210,7 +228,20 @@ class TestSeifertFacts:
 
 class TestSympyOracle:
     """sympy checks _det and signature on sizes 3-8, the only ones that
-    reach the general cofactor path and the zero-pivot cure."""
+    reach the general cofactor path and the zero-pivot cure, and Delta at
+    integer points on random Seifert matrices up to 6x6."""
+
+    @settings(deadline=None)  # the first call imports sympy
+    @given(seifert_matrices())
+    def test_alexander_at_integer_points(self, case):
+        # det(V - k V^T) = k^g Delta(k), with sympy's integer determinant
+        sympy = pytest.importorskip("sympy")
+        v, _ = case
+        g = v.size // 2
+        delta = alexander_from_seifert(v)
+        for k in (-2, -1, 2, 3):
+            m = sympy.Matrix(v.rows) - k * sympy.Matrix(v.transpose())
+            assert m.det() == k ** g * delta.evaluate(k), (v, k)
 
     def test_det(self):
         sympy = pytest.importorskip("sympy")

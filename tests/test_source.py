@@ -1,0 +1,36 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "knotobstruct").glob("*.py"))
+
+
+def float_uses(tree: ast.AST) -> list[str]:
+    """Float literals, the name `float` and imports of `math`, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"line {node.lineno}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {node.lineno}: name float")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}"
+                      for a in node.names if a.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.append(f"line {node.lineno}: from math import")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats(path):
+    # all arithmetic is exact: int, Fraction and LaurentPoly
+    assert float_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_float_uses_are_found():
+    assert SOURCES
+    tree = ast.parse("import math\nfrom math import sqrt\nx = float(1) + 0.5\n")
+    assert len(float_uses(tree)) == 4
