@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -22,8 +22,8 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+        items = terms.items() if isinstance(terms, dict) else terms
         d: dict[int, Scalar] = {}
         for e, c in items:
             if c:
@@ -65,9 +65,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def min_exp(self) -> int:
-        return min(self._terms)
 
     def max_exp(self) -> int:
         return max(self._terms)

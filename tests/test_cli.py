@@ -149,17 +149,28 @@ class TestInvariants:
         assert "error:" in result.stderr
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @staticmethod
+    def _upper_ones(size):
+        # upper-triangular ones: V - V^T has Pfaffian 1 at even size, so
+        # det(V - V^T) = 1 and Delta = t^g - t^(g-1) + ... + t^-g
+        return ";".join(",".join("1" if j >= i else "0" for j in range(size))
+                        for i in range(size))
+
     def test_oversized_seifert_exits_2_at_once(self):
-        # dense 10x10 upper-triangular ones: det(V - V^T) = 1, and a
-        # cofactor expansion of it would take 10! terms
-        text = ";".join(
-            ",".join("1" if j >= i else "0" for j in range(10)) for i in range(10)
-        )
         start = time.perf_counter()
-        result = invoke("invariants", "--seifert", text)
-        assert time.perf_counter() - start < 2.0
+        result = invoke("invariants", "--seifert", self._upper_ones(18))
+        assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
-        assert "10x10 Seifert matrix exceeds the 8x8 cap" in result.stderr
+        assert "18x18 Seifert matrix exceeds the 16x16 cap" in result.stderr
+
+    def test_genus_five_seifert_exits_2_quickly(self):
+        # a dense 10x10 under the cap: a cofactor expansion of it took 59 s
+        start = time.perf_counter()
+        result = invoke("invariants", "--seifert", self._upper_ones(10))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "has degree 5: not a genus-one knot" in result.stderr
 
     def test_overwide_pd_exits_2_at_once(self):
         # the torus knot T(8,9) as a closed 8-braid: 63 crossings whose

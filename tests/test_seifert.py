@@ -57,9 +57,14 @@ class TestSeifertMatrix:
             SeifertMatrix(rows)
 
     def test_size_cap(self):
-        assert trefoil_sum(MAX_SEIFERT_SIZE // 2).size == MAX_SEIFERT_SIZE
-        with pytest.raises(DiagramTooLarge):
-            trefoil_sum(MAX_SEIFERT_SIZE // 2 + 1)
+        v = trefoil_sum(8)
+        assert v.size == MAX_SEIFERT_SIZE
+        assert alexander_from_seifert(v) == TREFOIL_DELTA ** 8
+        assert signature(v) == -16
+        assert knot_determinant(v) == 3 ** 8
+        with pytest.raises(DiagramTooLarge,
+                           match="18x18 Seifert matrix exceeds the 16x16 cap"):
+            trefoil_sum(9)
 
     def test_empty_matrix_is_unknot(self):
         v = SeifertMatrix([])
@@ -226,10 +231,55 @@ class TestSeifertFacts:
             assert signature(v) == 0
 
 
+def _symbolic_det_cases():
+    """Square matrices of sizes 0-16 for the symbolic determinant oracle:
+    Seifert matrices P^T W P (entries up to 3, or up to 10^6), the same
+    with a row and column scaled by 3 (det(V - V^T) = 9), diagonal ones
+    with entries of +-10^6 and a zero row, and random integer squares."""
+    rng = random.Random(5)
+
+    def seifert(g, bound):
+        n = 2 * g
+        w = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                w[i][j] = w[j][i] = rng.randint(-bound, bound)
+        for i in range(g):
+            w[i][g + i] += 1
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            for row in w:
+                row[i] += k * row[j]
+            w[i] = [x + k * y for x, y in zip(w[i], w[j])]
+        return w
+
+    cases = []
+    for g in (0, 1, 2, 3, 4, 6, 8):
+        cases.append(seifert(g, 3))
+        cases.append(seifert(g, 10 ** 6))
+        if g:
+            scaled = seifert(g, 3)
+            for row in scaled:
+                row[0] *= 3
+            scaled[0] = [3 * x for x in scaled[0]]
+            cases.append(scaled)
+    for size in (1, 2, 5, 8, 16):
+        diagonal = [[rng.choice([-1, 1]) * 10 ** 6 if i == j else 0
+                     for j in range(size)] for i in range(size)]
+        cases.append(diagonal)
+        zero_row = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        zero_row[rng.randrange(size)] = [0] * size
+        cases.append(zero_row)
+        cases.append([[rng.choice([0, 0, 1, -1, 3]) for _ in range(size)]
+                      for _ in range(size)])
+    return cases
+
+
 class TestSympyOracle:
-    """sympy checks _det and signature on sizes 3-8, the only ones that
-    reach the general cofactor path and the zero-pivot cure, and Delta at
-    integer points on random Seifert matrices up to 6x6."""
+    """sympy checks _det and signature on sizes 0-16, Delta and the
+    refusal message against its symbolic det(V - t V^T) on sizes 0-16, and
+    Delta at integer points on random Seifert matrices up to 6x6."""
 
     @settings(deadline=None)  # the first call imports sympy
     @given(seifert_matrices())
@@ -243,19 +293,39 @@ class TestSympyOracle:
             m = sympy.Matrix(v.rows) - k * sympy.Matrix(v.transpose())
             assert m.det() == k ** g * delta.evaluate(k), (v, k)
 
+    @pytest.mark.parametrize("rows", _symbolic_det_cases())
+    def test_alexander_against_symbolic_det(self, rows):
+        # sympy's determinant over Z[t]; Delta is its t^(-size/2) shift
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        t = sympy.Symbol("t")
+        size = len(rows)
+        m = sympy.Matrix(size, size, [x for row in rows for x in row])
+        dm = DomainMatrix.from_Matrix(m - t * m.T)
+        poly = sympy.Poly(dm.domain.to_sympy(dm.det()), t)
+        at_one = poly.eval(1)
+        if at_one != 1:
+            with pytest.raises(ValidationError,
+                               match=rf"det\(V - V\^T\) = {at_one} != 1: not a Seifert"):
+                SeifertMatrix(rows)
+        else:
+            expected = {e - size // 2: int(c)
+                        for (e,), c in poly.terms() if c}
+            assert alexander_from_seifert(SeifertMatrix(rows)).terms == expected
+
     def test_det(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(13)
-        for size in [3, 4, 5, 6, 7, 8] * 5:
+        for size in [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16] * 5:
             m = [[rng.choice([0, 0, 1, -1, 3]) for _ in range(size)] for _ in range(size)]
-            assert _det(m) == sympy.Matrix(m).det(), m
+            assert _det(m) == sympy.Matrix(size, size, sum(m, [])).det(), m
 
     def test_signature(self):
         # a knot's Seifert matrix has even size; here V - V^T is the
         # standard symplectic form and V + V^T a random symmetric matrix
         sympy = pytest.importorskip("sympy")
         rng = random.Random(1)
-        for size in [4, 6, 8] * 20:
+        for size in [4, 6, 8, 12, 16] * 12:
             rows = [[0] * size for _ in range(size)]
             for i in range(size):
                 for j in range(i, size):
