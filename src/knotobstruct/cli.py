@@ -44,9 +44,10 @@ _PARSERS = {
     # by name at call time, so a wrapper later bound to cli.parse_pd (as
     # perfbench's --trace spans are) is the one called
     "pd": lambda text: parse_pd(text),
+    # blank text is the 0x0 matrix; otherwise every entry is an integer
     "seifert": lambda text: SeifertMatrix(
-        [[int(x) for x in row.split(",") if x.strip()]
-         for row in text.split(";") if row.strip()]
+        [[int(x) for x in row.split(",")] for row in text.split(";")]
+        if text.strip() else []
     ),
     "spine": lambda text: GenusOneSpine(*_ints(text, 3, 4)),
     "tinv": lambda text: TangleInvariants(*_ints(text, 4)),

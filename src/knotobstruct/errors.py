@@ -24,8 +24,9 @@ class DiagramTooLarge(KnotObstructError):
     open-boundary width and its work estimate, both taken from the
     crossing order alone; the twist route's |p| + |q| + |r|, also summed
     over pretzel-scan's Jones rows, and pretzel-scan's row count; or a
-    Seifert matrix's 8x8 for the cofactor expansion of its one
-    determinant, det(V - t V^T)."""
+    Seifert matrix's 16x16 for the Bareiss elimination of its one
+    determinant, det(V - t V^T), and that elimination's size^3 times
+    bit length estimate, which grows with the entries' size."""
 
 
 class NormalizationError(KnotObstructError):

@@ -97,7 +97,7 @@ def bracket_brute(pd: PDCode) -> LaurentPoly:
 
     result = LaurentPoly()
     for (nb, loops), cnt in sorted(tally.items()):
-        term = LaurentPoly.monomial(cnt, n - 2 * nb)
+        term = LaurentPoly({n - 2 * nb: cnt})
         result = result + term * DELTA ** (loops - 1)
     return result
 
@@ -318,14 +318,13 @@ def jones(diagram: PDCode | PretzelParams) -> LaurentPoly:
     else:
         w = writhe(diagram)
         br = bracket_contract(diagram)
-    f = br.shift(-3 * w)
-    if w % 2:
-        f = -f
+    sign = -1 if w % 2 else 1
     out = {}
-    for e, c in f.terms.items():
+    for e, c in br.terms.items():
+        e -= 3 * w
         if e % 4:
             raise NormalizationError(
                 f"bracket exponent {e} not divisible by 4 after writhe correction"
             )
-        out[-e // 4] = c
+        out[-e // 4] = sign * c
     return LaurentPoly(out)

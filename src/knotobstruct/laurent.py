@@ -4,7 +4,7 @@ Polynomials are stored as {exponent: coefficient} maps with no zero
 coefficients, so map equality is polynomial equality.  Coefficients are
 kept as given: integer input stays `int` through every ring operation
 and through `evaluate` at t = +-1, and `Fraction` enters only with a real
-denominator (a parsed `a/b`, a rational scale factor, another point).
+denominator (a parsed `a/b`, twoloop's halves and thirds).
 Everything is immutable and pure; no floating point enters anywhere.
 """
 
@@ -38,33 +38,14 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff: Scalar, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
-    def var(cls) -> "LaurentPoly":
-        """The generator t."""
-        return cls({1: 1})
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Scalar]:
         return dict(self._terms)
-
-    def coeff(self, exp: int) -> Scalar:
-        return self._terms.get(exp, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def max_exp(self) -> int:
         return max(self._terms)
@@ -75,8 +56,6 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.monomial(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -107,12 +86,11 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "LaurentPoly":
-        return _coerce(other) - self
-
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            out = LaurentPoly.__new__(LaurentPoly)
+            out._terms = {e: other * c for e, c in self._terms.items() if other}
+            return out
         d: dict[int, Scalar] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -128,22 +106,9 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: c * v for e, v in self._terms.items()}
-        return out
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
-
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("negative powers only via shift of monomials")
+            raise ValueError("negative powers are not supported")
         r = LaurentPoly.one()
         b = self
         while n:
@@ -155,17 +120,14 @@ class LaurentPoly:
 
     # -- calculus and evaluation ------------------------------------------
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Exact value sum(c_e * x^e), x nonzero; at x = +-1 a plain sum of
-        the coefficients (an int for int ones), elsewhere a Fraction."""
+    def evaluate(self, x: int) -> Scalar:
+        """Exact value at t = +-1, a signed sum of the coefficients (an int
+        for int ones); every invariant the program reads is taken there."""
         if x == 1:
             return sum(self._terms.values())
         if x == -1:
             return sum(-c if e % 2 else c for e, c in self._terms.items())
-        x = Fraction(x)
-        if not x:
-            raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        return sum((c * x ** e for e, c in self._terms.items()), Fraction(0))
+        raise ValueError(f"evaluate takes t = 1 or t = -1, not {x!r}")
 
     def derivative(self, order: int = 1) -> "LaurentPoly":
         """Formal derivative applied `order` times."""
@@ -251,4 +213,4 @@ def parse_laurent(text: str) -> LaurentPoly:
 def _coerce(x: "LaurentPoly | Scalar") -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    return LaurentPoly.monomial(x)
+    return LaurentPoly({0: x})

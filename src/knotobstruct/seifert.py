@@ -22,6 +22,13 @@ from .laurent import LaurentPoly
 #: 16x16 and 0.2 s at 24x24 (2-core x86-64 VM, Python 3.11).
 MAX_SEIFERT_SIZE = 16
 
+#: Largest size^3 * x.bit_length() SeifertMatrix accepts, x = 2^b its
+#: Kronecker point; the determinant's cost grows with both.  At 5e6 units
+#: dense matrices took 0.20 s at 16x16 and at most 0.60 s (3x3 and 4x4)
+#: over sizes 2-16; a 16x16 with 50-digit entries (11e6 units) took 0.97 s
+#: (2-core x86-64 VM, Python 3.11).
+SEIFERT_WORK_CAP = 5_000_000
+
 
 class SeifertMatrix:
     """Square integer matrix with det(V - V^T) = 1, checked on construction.
@@ -36,7 +43,8 @@ class SeifertMatrix:
     at most |v_ij| + |v_ji|, so by Hadamard's inequality the product of
     the rows' sums of these bounds every coefficient of P; with x over
     four times that bound, P's coefficients are the balanced base-x
-    digits of P(x).
+    digits of P(x).  A matrix whose size^3 * x.bit_length() is over
+    SEIFERT_WORK_CAP raises DiagramTooLarge before the determinant.
     """
 
     __slots__ = ("rows", "_alexander")
@@ -56,16 +64,23 @@ class SeifertMatrix:
         bound = 1
         for row, col in zip(rows, cols):
             bound *= sum(map(abs, row)) + sum(map(abs, col)) or 1
-        x = 1 << (bound.bit_length() + 2)
-        value = _det([[a - b * x for a, b in zip(row, col)]
+        b = bound.bit_length() + 2
+        x = 1 << b
+        work = size ** 3 * x.bit_length()
+        if work > SEIFERT_WORK_CAP:
+            raise DiagramTooLarge(
+                f"{size}x{size} Seifert matrix work estimate {work} exceeds "
+                f"the cap {SEIFERT_WORK_CAP}"
+            )
+        value = _det([[a - c * x for a, c in zip(row, col)]
                       for row, col in zip(rows, cols)])
         digits = []
         for _ in range(size + 1):
-            c = value % x
+            c = value & (x - 1)
             if 2 * c >= x:
                 c -= x
             digits.append(c)
-            value = (value - c) // x
+            value = (value - c) >> b
         at_one = sum(digits)
         if at_one != 1:
             raise ValidationError(
@@ -223,11 +238,10 @@ def pretzel_seifert(params: PretzelParams) -> SeifertMatrix:
 
 
 def pretzel_alexander_coeff(params: PretzelParams) -> int:
-    """The leading coefficient d = (pq+qr+rp+1)/4 of Delta(P(p,q,r))."""
+    """The leading coefficient d = (pq+qr+rp+1)/4 of Delta(P(p,q,r)); the
+    division is exact, since p, q, r = +-1 (mod 4) give pq+qr+rp+1 = 0."""
     p, q, r = params.as_tuple()
-    num = p * q + q * r + r * p + 1
-    assert num % 4 == 0
-    return num // 4
+    return (p * q + q * r + r * p + 1) // 4
 
 
 def m_forcing_check(bound: int) -> bool:

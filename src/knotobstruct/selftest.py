@@ -110,7 +110,7 @@ def suite_family(k_max: int = 8) -> str | None:
         checks = {
             "parameters": params == PretzelParams(4 * k + 1, 4 * k + 3, -(2 * k + 1)),
             "closed-form Alexander": pretzel_alexander_coeff(params) == 0,
-            "matrix Alexander": report.alexander == 1,
+            "matrix Alexander": report.alexander == LaurentPoly.one(),
             "closed-form Ob": ob == Fraction(-16 * k * (k + 1) * (2 * k + 1), 12),
             "prediction": predicted == obstructs,
             "verdict": (report.verdict == VERDICT_MOD16) == obstructs,

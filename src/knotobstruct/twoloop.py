@@ -58,7 +58,7 @@ def reduced_two_loop(s: GenusOneSpine, ti: TangleInvariants) -> LaurentPoly:
         - (ell + Fraction(1, 2)) * ti.v2xy
         + 3 * ti.v3
     )
-    return _g_poly(d).scale(F) - alexander_genus_one(s).scale(4 * H)
+    return _g_poly(d) * F - alexander_genus_one(s) * (4 * H)
 
 
 def framing_difference(
@@ -81,8 +81,8 @@ def framing_difference_closed_form(
     if s.m != 0:
         raise PreconditionViolation("framing_difference requires m = 0")
     d = s.d
-    inner = _g_poly(d).scale(d) - alexander_genus_one(s).scale(4 * ti.v2yy)
-    return inner.scale(-sign)
+    inner = _g_poly(d) * d - alexander_genus_one(s) * (4 * ti.v2yy)
+    return inner * -sign
 
 
 def _constraint_residuals(d, v) -> tuple[Fraction, Fraction]:

@@ -118,6 +118,8 @@ class TestInvariants:
          "is no knot's Jones polynomial"),
         (("obstruct", "--spine", "0,0,0", "--jones", "1/2*t^2+1/2"),
          "is no knot's Jones polynomial"),
+        *[(("invariants", "--seifert", text), f"--seifert {text!r}")
+          for text in ("-1,,1;0,-1", "-1,1,;0,-1", ",-1,1;0,-1", "-1,1;;0,-1", ";")],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, args, message):
         result = invoke(*args)
@@ -162,6 +164,23 @@ class TestInvariants:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert "18x18 Seifert matrix exceeds the 16x16 cap" in result.stderr
+
+    @pytest.mark.parametrize("size, digits", [(8, 4000), (16, 300)])
+    def test_long_seifert_entries_exit_2_at_once(self, size, digits):
+        # a determinant of such a matrix took 24 s and more
+        text = ";".join([",".join([str(10 ** digits - 1)] * size)] * size)
+        start = time.perf_counter()
+        result = invoke("invariants", "--seifert", text)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert f"{size}x{size} Seifert matrix work estimate" in result.stderr
+
+    @pytest.mark.parametrize("text", ["", " "])
+    def test_blank_seifert_is_the_unknot(self, text):
+        result = invoke("invariants", "--seifert", text, "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["alexander"] == {"0": "1"}
 
     def test_genus_five_seifert_exits_2_quickly(self):
         # a dense 10x10 under the cap: a cofactor expansion of it took 59 s

@@ -14,6 +14,7 @@ from knotobstruct.diagram import (
 )
 from knotobstruct.errors import PDSyntaxError, ValidationError
 from knotobstruct.kauffman import jones
+from knotobstruct.laurent import LaurentPoly
 from knotobstruct.selftest import pretzels
 
 TREFOIL = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
@@ -109,7 +110,7 @@ class TestPDCodeType:
     def test_no_crossings_is_unknot(self):
         pd = PDCode(())
         assert pd == parse_pd("") and pd.free_loops == 1
-        assert jones(pd) == 1
+        assert jones(pd) == LaurentPoly.one()
 
 
 class TestPretzelParams:

@@ -97,5 +97,5 @@ def test_laurent_roundtrip(terms):
     back = parse_laurent(poly.render())
     assert back == poly
     # integers stay int, and only a real denominator is a Fraction
-    assert all(isinstance(c, Fraction) == isinstance(poly.coeff(e), Fraction)
+    assert all(isinstance(c, Fraction) == isinstance(poly.terms[e], Fraction)
                for e, c in back.terms.items())

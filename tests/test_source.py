@@ -30,6 +30,21 @@ def test_no_floats(path):
     assert float_uses(ast.parse(path.read_text(), str(path))) == []
 
 
+def assert_lines(tree: ast.AST) -> list[int]:
+    """Lines of assert statements, which python -O strips."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    # a check that must hold raises a KnotObstructError instead
+    assert assert_lines(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_asserts_are_found():
+    assert assert_lines(ast.parse("x = 1\nassert x\nif x:\n    assert not x, 'no'\n")) == [2, 4]
+
+
 def test_float_uses_are_found():
     assert SOURCES
     tree = ast.parse("import math\nfrom math import sqrt\nx = float(1) + 0.5\n")
