@@ -24,6 +24,7 @@ from .obstruction import (
     json_value,
     obstruction_value,
     pretzel_family,
+    require_printable,
 )
 from .seifert import GenusOneSpine, SeifertMatrix, pretzel_alexander_coeff
 from .selftest import SUITES
@@ -145,6 +146,7 @@ def invariants(pretzel, pd, seifert, spine, tinv, as_json):
             raise PreconditionViolation("--tinv needs --spine")
         # the spine route has no diagram; tangle invariants give Theta itself
         theta = reduced_two_loop(spine, tinv)
+        require_printable(theta)
     report = cosmetic_verdict(pretzel=pretzel, pd=pd, seifert=seifert, spine=spine)
     _print_report(report, as_json, theta)
 

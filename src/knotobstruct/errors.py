@@ -26,7 +26,10 @@ class DiagramTooLarge(KnotObstructError):
     over pretzel-scan's Jones rows, and pretzel-scan's row count; or a
     Seifert matrix's 16x16 for the Bareiss elimination of its one
     determinant, det(V - t V^T), and that elimination's size^3 times
-    bit length estimate, which grows with the entries' size."""
+    bit length estimate, which grows with the entries' size.  Also a
+    result with an integer of more digits than int-to-text conversion
+    allows (sys.get_int_max_str_digits()), found after the work and
+    before any of it is printed."""
 
 
 class NormalizationError(KnotObstructError):

@@ -23,9 +23,14 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
+        if isinstance(terms, dict):
+            # unique keys, so only zero coefficients go; a map with none
+            # is copied whole, in C
+            self._terms = (dict(terms) if all(terms.values())
+                           else {e: c for e, c in terms.items() if c})
+            return
         d: dict[int, Scalar] = {}
-        for e, c in items:
+        for e, c in terms:
             if c:
                 e = int(e)
                 s = d.get(e, 0) + c

@@ -9,11 +9,14 @@ A cosmetic crossing would force Ob into 16Z, so Ob outside 16Z obstructs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 
 from .diagram import PDCode, PretzelParams
-from .errors import InconsistentInput, PreconditionViolation
+from .errors import DiagramTooLarge, InconsistentInput, PreconditionViolation
 from .kauffman import jones
 from .laurent import LaurentPoly, Scalar
 from .seifert import (
@@ -61,7 +64,7 @@ def jones_values(
 
 
 def _w3(v2: Scalar, v3: Scalar) -> Fraction:
-    return Fraction(1, 36) * v3 + Fraction(1, 12) * v2
+    return Fraction(v3 + 3 * v2, 36)
 
 
 def w3(jones_poly: LaurentPoly) -> Fraction:
@@ -86,15 +89,17 @@ def _require_knot_jones(jones_poly: LaurentPoly) -> None:
 def _lambda_w(vm1: Scalar, dvm1: Scalar, sigma: int) -> Fraction:
     if vm1 == 0:
         raise PreconditionViolation("V(-1) = 0: not a knot Jones polynomial")
-    return Fraction(-dvm1, 6 * vm1) + Fraction(sigma, 4)
+    return Fraction(3 * sigma * vm1 - 2 * dvm1, 12 * vm1)
 
 
 def _thetas(
-    w3v: Fraction, vm1: Scalar, dvm1: Scalar
+    v2: Scalar, v3: Scalar, vm1: Scalar, dvm1: Scalar
 ) -> tuple[Fraction, Fraction, Fraction]:
-    theta1 = 2 * w3v
-    theta_m1 = -Fraction(1, 12) * dvm1 * vm1
-    return theta1, theta_m1, theta_m1 - theta1
+    """(Theta(1), Theta(-1), Ob) = (2 w3, -V'(-1) V(-1)/12, their
+    difference), each one Fraction of an integer sum."""
+    w = v3 + 3 * v2  # 36 w3
+    p = dvm1 * vm1  # -12 Theta(-1)
+    return Fraction(w, 18), Fraction(-p, 12), Fraction(-3 * p - 2 * w, 36)
 
 
 def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
@@ -110,7 +115,30 @@ def obstruction_value(
     """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone:
     Theta(1) = 2 w3 and Theta(-1) = -(1/12) V'(-1) V(-1)."""
     v2, v3, vm1, dvm1 = jones_values(jones_poly)
-    return _thetas(_w3(v2, v3), vm1, dvm1)
+    return _thetas(v2, v3, vm1, dvm1)
+
+
+#: an int or Fraction's (numerator, denominator)
+_RATIO_PARTS = attrgetter("numerator", "denominator")
+
+
+def require_printable(*values: LaurentPoly | Scalar | None) -> None:
+    """Raise DiagramTooLarge when a value has an integer (a coefficient's,
+    or a rational's numerator or denominator) with more digits than
+    int-to-text conversion allows, sys.get_int_max_str_digits().  The
+    largest one's digits are bounded above by bit_length() * log10(2) + 1,
+    with no conversion made.  None values are skipped."""
+    limit = sys.get_int_max_str_digits()
+    numbers = chain.from_iterable(
+        v.terms.values() if isinstance(v, LaurentPoly) else (v,)
+        for v in values if v is not None)
+    top = max(map(abs, chain.from_iterable(map(_RATIO_PARTS, numbers))), default=0)
+    digits = top.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
+    if limit and digits > limit:
+        raise DiagramTooLarge(
+            f"a result has an integer of about {digits} digits, "
+            f"over the {limit}-digit limit for printing integers"
+        )
 
 
 def _mod16_nonzero(ob: Fraction) -> bool:
@@ -169,7 +197,9 @@ def cosmetic_verdict(
     polynomial is the one the Seifert matrix keeps, and the determinant
     is its |Delta(-1)|.  Genus one is the caller's assertion;
     a Delta of degree over 1 refutes it and raises PreconditionViolation.
-    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.
+    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.  Before either
+    check, require_printable raises DiagramTooLarge when a number of the
+    report or of those messages has too many digits to print.
     """
     notes: list[str] = []
 
@@ -202,27 +232,31 @@ def cosmetic_verdict(
     alex = det = sigma = None
     if seifert is not None:
         alex = alexander_from_seifert(seifert)
-        if alex.max_exp() > 1:  # span Delta <= 2 genus
-            raise PreconditionViolation(
-                f"Delta = {alex.render()} has degree {alex.max_exp()}: "
-                "not a genus-one knot"
-            )
         det = knot_determinant(seifert)
         sigma = signature(seifert)
 
-    w3v = lam = th1 = thm1 = ob = None
-    mod16 = None
+    w3v = lam = th1 = thm1 = ob = vm1 = None
     if jp is not None:
         v2, v3, vm1, dvm1 = jones_values(jp)
         w3v = _w3(v2, v3)
+        th1, thm1, ob = _thetas(v2, v3, vm1, dvm1)
+        if sigma is not None:
+            lam = _lambda_w(vm1, dvm1, sigma)
+    # each of these is printed: in the report, a note or an error below
+    require_printable(alex, jp, det, vm1, w3v, lam, th1, thm1, ob)
+
+    if alex is not None and alex.max_exp() > 1:  # span Delta <= 2 genus
+        raise PreconditionViolation(
+            f"Delta = {alex.render()} has degree {alex.max_exp()}: "
+            "not a genus-one knot"
+        )
+    mod16 = None
+    if jp is not None:
         if w3v.denominator != 1:
             notes.append(f"w3 = {w3v} is not an integer: input is likely "
                          "not a knot Jones polynomial")
-        th1, thm1, ob = _thetas(w3v, vm1, dvm1)
         mod16 = _mod16_nonzero(ob)
         notes.append(_LAMBDA_NOTE)
-        if sigma is not None:
-            lam = _lambda_w(vm1, dvm1, sigma)
         if det is not None and abs(vm1) != det:
             raise InconsistentInput(
                 f"|V(-1)| = {abs(vm1)} disagrees with |Delta(-1)| = {det}: "

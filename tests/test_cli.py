@@ -19,6 +19,11 @@ TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 GENUS_TWO = "-1,1,0,0;0,-1,0,0;0,0,-1,1;0,0,0,-1"
 
 
+#: a 2x2 Seifert matrix with 4000-digit diagonal entries: it passes every
+#: input guard, and Delta's coefficients have 8000 digits
+LONG_SEIFERT_2X2 = f"{10 ** 4000 - 1},1;0,{10 ** 4000 - 1}"
+
+
 def invoke(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
 
@@ -175,6 +180,25 @@ class TestInvariants:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert f"{size}x{size} Seifert matrix work estimate" in result.stderr
+
+    @pytest.mark.parametrize("command", ["invariants", "obstruct"])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_unprintable_report_exits_2(self, command, flags):
+        # Delta's 8000-digit coefficients are past int-to-text's limit
+        result = invoke(command, "--seifert", LONG_SEIFERT_2X2, *flags)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "digit limit for printing integers" in result.stderr
+
+    def test_unprintable_tinv_theta_exits_2(self):
+        # d = nm has 3999 digits, so Delta prints; Theta's (n + m) nm / 2
+        # terms do not
+        n = str(10 ** 1999)
+        result = invoke("invariants", "--spine", f"{n},{n},0", "--tinv", "0,0,0,1")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "digit limit for printing integers" in result.stderr
+        assert invoke("invariants", "--spine", f"{n},{n},0").exit_code == 0
 
     @pytest.mark.parametrize("text", ["", " "])
     def test_blank_seifert_is_the_unknot(self, text):
@@ -432,6 +456,20 @@ class TestBatch:
         assert "'x'" in by_label["bad_seifert"]["error"]
         assert by_label["trefoil"]["report"]["determinant"] == 3
         assert doc["summary"] == {"error": 2, "HoldsNontrivialAlexander": 1}
+
+    def test_unprintable_row_is_an_error_row(self, tmp_path):
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text(
+            "kind,label,payload\n"
+            f'seifert,long,"{LONG_SEIFERT_2X2}"\n'
+            'seifert,trefoil,"-1,1;0,-1"\n'
+        )
+        result = invoke("batch", "--input", str(csv_path))
+        assert result.exit_code == 0
+        by_label = {r["label"]: r for r in json.loads(result.stdout)["results"]}
+        assert "digit limit for printing integers" in by_label["long"]["error"]
+        assert by_label["trefoil"]["report"]["alexander"] == {"-1": "1", "0": "-1",
+                                                             "1": "1"}
 
     def test_genus_two_matrix_is_an_error_row(self, tmp_path):
         csv_path = tmp_path / "knots.csv"

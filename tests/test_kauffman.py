@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -184,12 +185,60 @@ class TestBracketTwist:
         params = PretzelParams(*pqr)
         assert bracket_twist(params) == bracket_contract(pretzel_pd(params))
 
+    @pytest.mark.parametrize("signs", range(8))
+    def test_matches_brute_up_to_total_11(self, signs):
+        # every odd triple with |p| + |q| + |r| <= 11, entries +-1 included
+        odd = range(1, 10, 2)
+        for pqr in itertools.product(odd, repeat=3):
+            if sum(pqr) <= 11:
+                params = PretzelParams(*(-v if signs >> i & 1 else v
+                                         for i, v in enumerate(pqr)))
+                assert bracket_twist(params) == bracket_brute(pretzel_pd(params)), params
+
+
+def synthetic_division(poly: LaurentPoly) -> LaurentPoly:
+    """The step-by-step quotient poly / (1 + A^4)^3: per exponent class mod
+    4 and per factor, q_i = p_i - q_(i-1) from the bottom up, and the top
+    entry left over is the remainder."""
+    terms = poly.terms
+    out = {}
+    for r in {e % 4 for e in terms}:
+        exps = [e for e in terms if e % 4 == r]
+        lo = min(exps)
+        q = [terms.get(e, 0) for e in range(lo, max(exps) + 1, 4)]
+        for _ in range(3):
+            for i in range(1, len(q)):
+                q[i] -= q[i - 1]
+            if q.pop():
+                raise NormalizationError("remainder")
+        out.update((lo + 4 * i, c) for i, c in enumerate(q) if c)
+    return LaurentPoly(out)
+
+
+#: polynomials over several exponent classes and negative exponents
+SPREAD = st.dictionaries(st.integers(-60, 60), st.integers(-99, 99), max_size=12
+                         ).map(LaurentPoly)
+
 
 class TestDivideByOnePlusA4Cubed:
     @given(st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=8))
     def test_exact_quotient(self, terms):
         p = LaurentPoly(terms)
         assert _divide_by_one_plus_a4_cubed(p * CUBE) == p
+
+    @given(SPREAD)
+    def test_matches_synthetic_division_on_multiples(self, p):
+        assert _divide_by_one_plus_a4_cubed(p * CUBE) == synthetic_division(p * CUBE) == p
+
+    @given(SPREAD, st.integers(-60, 60),
+           st.dictionaries(st.integers(0, 11), st.integers(-9, 9).filter(bool),
+                           min_size=1, max_size=6))
+    def test_non_multiples_raise(self, p, shift, rest):
+        # rest has degree at most 2 in A^4 in every class, so is no multiple
+        poly = p * CUBE + LaurentPoly({e + shift: c for e, c in rest.items()})
+        for divide in (synthetic_division, _divide_by_one_plus_a4_cubed):
+            with pytest.raises(NormalizationError):
+                divide(poly)
 
     @pytest.mark.parametrize("poly", [
         LaurentPoly.one(),

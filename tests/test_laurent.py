@@ -63,6 +63,13 @@ class TestEquality:
         assert len({LaurentPoly({0: 1}), LaurentPoly.one()}) == 1
         assert len({1, LaurentPoly.one()}) == 2
 
+    @given(st.dictionaries(st.integers(-6, 6), st.integers(-2, 2) | coeffs, max_size=8))
+    def test_dict_equals_pairs_without_zeros(self, terms):
+        # the dict path has no merge loop; zero coefficients still drop
+        p = LaurentPoly(terms)
+        assert p == LaurentPoly(list(terms.items()))
+        assert p.terms == {e: c for e, c in terms.items() if c}
+
 
 class TestEvaluate:
     def test_basic(self):

@@ -1,20 +1,25 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
-from knotobstruct.errors import InconsistentInput, PreconditionViolation
+from knotobstruct.errors import DiagramTooLarge, InconsistentInput, PreconditionViolation
 from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.obstruction import (
+    _lambda_w,
+    _thetas,
+    _w3,
     cosmetic_verdict,
     jones_values,
     mullins_lambda_w,
     obstruction_value,
     pretzel_family,
+    require_printable,
     w3,
 )
 from knotobstruct.seifert import GenusOneSpine, SeifertMatrix, pretzel_alexander_coeff
@@ -75,6 +80,70 @@ class TestObstructionValue:
 
     def test_trivial_family_k1(self):
         assert obstruction_value(jones(PretzelParams(5, 7, -3))) == (12, 4, -8)
+
+
+#: the multi-step Fraction formulas, kept as the oracle for the closed forms
+def reference_w3(v2, v3):
+    return Fraction(1, 36) * v3 + Fraction(1, 12) * v2
+
+
+def reference_thetas(v2, v3, vm1, dvm1):
+    theta1 = 2 * reference_w3(v2, v3)
+    theta_m1 = -Fraction(1, 12) * dvm1 * vm1
+    return theta1, theta_m1, theta_m1 - theta1
+
+
+def reference_lambda_w(vm1, dvm1, sigma):
+    return Fraction(-dvm1, 6 * vm1) + Fraction(sigma, 4)
+
+
+values = st.integers(-10**6, 10**6) | st.fractions(-10**3, 10**3, max_denominator=50)
+
+
+class TestClosedForms:
+    @given(values, values, values.filter(bool), values)
+    def test_match_multi_step_formulas(self, v2, v3, vm1, dvm1):
+        assert _w3(v2, v3) == reference_w3(v2, v3)
+        got = _thetas(v2, v3, vm1, dvm1)
+        assert got == reference_thetas(v2, v3, vm1, dvm1)
+        assert all(type(x) is Fraction for x in (_w3(v2, v3), *got))
+
+    @given(values.filter(bool), values, st.integers(-32, 32))
+    def test_lambda_w_matches(self, vm1, dvm1, sigma):
+        got = _lambda_w(vm1, dvm1, sigma)
+        assert type(got) is Fraction and got == reference_lambda_w(vm1, dvm1, sigma)
+
+
+class TestRequirePrintable:
+    def test_matches_int_to_text_at_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for k in range(630, 650):
+                for n in (10 ** k - 1, 10 ** k, -(10 ** k), Fraction(1, 10 ** k)):
+                    try:
+                        require_printable(n)
+                    except DiagramTooLarge:
+                        assert k >= 639  # refused: over the limit, or at its edge
+                    else:
+                        str(n)  # accepted: the text form exists
+            require_printable(LaurentPoly({0: 10 ** 600}), None, 3)
+            with pytest.raises(DiagramTooLarge, match="640-digit limit"):
+                require_printable(1, LaurentPoly({1: 1, 0: 10 ** 641}))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_long_seifert_report_raises(self):
+        big = 10 ** 4000 - 1
+        with pytest.raises(DiagramTooLarge, match="8001 digits"):
+            cosmetic_verdict(seifert=SeifertMatrix([[big, 1], [0, big]]))
+
+    def test_long_inconsistent_pair_raises_printably(self):
+        # det has 8000 digits; the message would have printed it
+        big = 10 ** 4000 - 1
+        with pytest.raises(DiagramTooLarge):
+            cosmetic_verdict(seifert=SeifertMatrix([[big, 1], [0, big]]),
+                             jones_poly=UNKNOT_V)
 
 
 class TestPretzelFamily:

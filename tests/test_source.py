@@ -49,3 +49,22 @@ def test_float_uses_are_found():
     assert SOURCES
     tree = ast.parse("import math\nfrom math import sqrt\nx = float(1) + 0.5\n")
     assert len(float_uses(tree)) == 4
+
+
+def private_terms_lines(tree: ast.AST) -> list[int]:
+    """Lines that read or write an attribute named `_terms`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "laurent.py"],
+                         ids=lambda p: p.name)
+def test_terms_map_stays_in_laurent(path):
+    # LaurentPoly's map holds no zero coefficients, which makes map equality
+    # polynomial equality; only laurent.py may build or touch it
+    assert private_terms_lines(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_private_terms_are_found():
+    tree = ast.parse("p._terms = {}\nx = p.terms\ny = q._terms[0]\n_terms = 1\n")
+    assert private_terms_lines(tree) == [1, 3]
