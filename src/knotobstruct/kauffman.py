@@ -48,7 +48,7 @@ CONTRACT_WIDTH_CAP = 14
 CONTRACT_WORK_CAP = 3_500_000
 
 #: largest |p| + |q| + |r| bracket_twist accepts; at a total of 249,999 a
-#: whole cosmetic_verdict took 0.22-0.39 s and obstruct --json 0.43-0.54 s
+#: whole cosmetic_verdict took 0.24-0.32 s and obstruct --json 0.42-0.64 s
 #: on a 2-core x86-64 VM (Python 3.11.7)
 PRETZEL_TOTAL_CAP = 250_000
 

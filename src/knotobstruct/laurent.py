@@ -23,16 +23,14 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        if isinstance(terms, dict):
-            # unique keys, so only zero coefficients go; a map with none
-            # is copied whole, in C
-            self._terms = (dict(terms) if all(terms.values())
-                           else {e: c for e, c in terms.items() if c})
+        """Terms as an {exponent: coefficient} map or (exponent, coefficient)
+        pairs, exponents `int`; pairs with one exponent are summed."""
+        if isinstance(terms, dict):  # unique keys: only zeros go
+            self._terms = {e: c for e, c in terms.items() if c}
             return
         d: dict[int, Scalar] = {}
         for e, c in terms:
             if c:
-                e = int(e)
                 s = d.get(e, 0) + c
                 if s:
                     d[e] = s

@@ -128,7 +128,8 @@ def require_printable(*values: LaurentPoly | Scalar | None) -> None:
     int-to-text conversion allows, sys.get_int_max_str_digits().  The
     largest one's digits are bounded above by bit_length() * log10(2) + 1,
     with no conversion made.  None values are skipped."""
-    limit = sys.get_int_max_str_digits()
+    # 0, no limit, before Python 3.10.7 (which has no such function)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     numbers = chain.from_iterable(
         v.terms.values() if isinstance(v, LaurentPoly) else (v,)
         for v in values if v is not None)
@@ -197,9 +198,9 @@ def cosmetic_verdict(
     polynomial is the one the Seifert matrix keeps, and the determinant
     is its |Delta(-1)|.  Genus one is the caller's assertion;
     a Delta of degree over 1 refutes it and raises PreconditionViolation.
-    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.  Before either
-    check, require_printable raises DiagramTooLarge when a number of the
-    report or of those messages has too many digits to print.
+    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.  Before each of
+    these checks, require_printable raises DiagramTooLarge when a number
+    that it or the report prints has too many digits to print.
     """
     notes: list[str] = []
 
@@ -232,6 +233,12 @@ def cosmetic_verdict(
     alex = det = sigma = None
     if seifert is not None:
         alex = alexander_from_seifert(seifert)
+        require_printable(alex)  # printed in the degree message below
+        if alex.max_exp() > 1:  # span Delta <= 2 genus
+            raise PreconditionViolation(
+                f"Delta = {alex.render()} has degree {alex.max_exp()}: "
+                "not a genus-one knot"
+            )
         det = knot_determinant(seifert)
         sigma = signature(seifert)
 
@@ -243,13 +250,8 @@ def cosmetic_verdict(
         if sigma is not None:
             lam = _lambda_w(vm1, dvm1, sigma)
     # each of these is printed: in the report, a note or an error below
-    require_printable(alex, jp, det, vm1, w3v, lam, th1, thm1, ob)
+    require_printable(jp, det, vm1, w3v, lam, th1, thm1, ob)
 
-    if alex is not None and alex.max_exp() > 1:  # span Delta <= 2 genus
-        raise PreconditionViolation(
-            f"Delta = {alex.render()} has degree {alex.max_exp()}: "
-            "not a genus-one knot"
-        )
     mod16 = None
     if jp is not None:
         if w3v.denominator != 1:

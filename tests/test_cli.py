@@ -13,6 +13,7 @@ from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
                                    contraction_order, jones)
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import json_value, pretzel_family
+from test_obstruction import needs_digit_limit
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 #: trefoil # trefoil, whose Delta = (t - 1 + t^-1)^2 rules out genus one
@@ -181,6 +182,7 @@ class TestInvariants:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert f"{size}x{size} Seifert matrix work estimate" in result.stderr
 
+    @needs_digit_limit
     @pytest.mark.parametrize("command", ["invariants", "obstruct"])
     @pytest.mark.parametrize("flags", [(), ("--json",)])
     def test_unprintable_report_exits_2(self, command, flags):
@@ -190,6 +192,7 @@ class TestInvariants:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "digit limit for printing integers" in result.stderr
 
+    @needs_digit_limit
     def test_unprintable_tinv_theta_exits_2(self):
         # d = nm has 3999 digits, so Delta prints; Theta's (n + m) nm / 2
         # terms do not
@@ -457,6 +460,7 @@ class TestBatch:
         assert by_label["trefoil"]["report"]["determinant"] == 3
         assert doc["summary"] == {"error": 2, "HoldsNontrivialAlexander": 1}
 
+    @needs_digit_limit
     def test_unprintable_row_is_an_error_row(self, tmp_path):
         csv_path = tmp_path / "knots.csv"
         csv_path.write_text(
