@@ -174,11 +174,12 @@ def pretzel_scan(k_min, k_max, jones_upto, as_json):
     """Sweep the trivial-Alexander family P(4k+1, 4k+3, -(2k+1))."""
     if not 1 <= k_min <= k_max:
         raise PreconditionViolation("need 1 <= k-min <= k-max")
-    ks = range(k_min, k_max + 1)
-    if len(ks) > PRETZEL_SCAN_ROW_CAP:
+    count = k_max - k_min + 1  # len() of a range fails past sys.maxsize
+    if count > PRETZEL_SCAN_ROW_CAP:
         raise DiagramTooLarge(
-            f"{len(ks)} rows exceed the pretzel-scan cap {PRETZEL_SCAN_ROW_CAP}"
+            f"{count} rows exceed the pretzel-scan cap {PRETZEL_SCAN_ROW_CAP}"
         )
+    ks = range(k_min, k_max + 1)
     family = {k: pretzel_family(k) for k in ks}
     # each Jones row costs O(|p| + |q| + |r|), so their sum takes the
     # twist route's cap

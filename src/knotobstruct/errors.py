@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the digit counts their
+messages give in place of integers too long to print."""
+
+import sys
 
 
 class KnotObstructError(Exception):
@@ -47,3 +50,15 @@ class PreconditionViolation(KnotObstructError):
 
 class InconsistentInput(KnotObstructError):
     """Cross-validation between independent computation routes failed."""
+
+
+def print_limit() -> int:
+    """Most digits int-to-text conversion allows, sys.get_int_max_str_digits(),
+    or 0, no limit, before Python 3.10.7 (which has no such function)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def digit_estimate(n: int) -> int:
+    """An upper bound on the decimal digits of |n|, bit_length() * log10(2)
+    + 1, found with no conversion; it is exact or one over."""
+    return abs(n).bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103

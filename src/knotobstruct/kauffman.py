@@ -128,24 +128,23 @@ def contraction_order(pd: PDCode) -> tuple[list[int], int, int]:
     crossing a boundary of w edges has up to Catalan(w/2) matchings, each
     holding a polynomial of O(i) terms, so the work estimate is the sum of
     Catalan(w_i/2) * i over the order.
+
+    It starts at crossing 0.  A validated PDCode is one knot, whose walk
+    1, 2, ..., 2n meets every crossing, so until the last one an edge
+    joins the ordered crossings to an unordered one, held in `frontier`.
     """
     at: dict[int, list[int]] = {}  # edge label -> crossings holding it
     for i, quad in enumerate(pd.crossings):
         for e in quad:
             at.setdefault(e, []).append(i)
     placed = [False] * pd.n
-    frontier: dict[int, int] = {}  # unordered crossing -> labels on boundary
+    frontier = {0: 0}  # unordered crossing -> labels on boundary
     boundary: set[int] = set()
     order = []
-    lowest = width = work = 0  # lowest: no crossing below it is unordered
+    width = work = 0
     for _ in range(pd.n):
-        if frontier:
-            best = max(frontier, key=lambda i: (frontier[i], -i))
-            del frontier[best]
-        else:  # the start, or a new component of a split diagram
-            while placed[lowest]:
-                lowest += 1
-            best = lowest
+        best = max(frontier, key=lambda i: (frontier[i], -i))
+        del frontier[best]
         placed[best] = True
         order.append(best)
         for e in pd.crossings[best]:  # a kink's repeated label goes in and out
@@ -244,10 +243,11 @@ def twist_tangle(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     linear step from (1 + A^4, 0) is solved for every signed n by
       (A^-n + A^(4-n),  A^(2-n) - (-1)^n A^(2+3n)),
     the geometric sum beta_n = sum_{j<n} (-1)^j A^(4j+2-n) cleared of its
-    denominator 1 + A^4.  At n = 0 the two beta terms cancel.
+    denominator 1 + A^4.  At n = 0 both beta terms are A^2 and cancel, so
+    beta_0 is zero, not the one term a two-key map literal would keep.
     """
     return (LaurentPoly({-n: 1, 4 - n: 1}),
-            LaurentPoly([(2 - n, 1), (2 + 3 * n, 1 if n % 2 else -1)]))
+            LaurentPoly({2 - n: 1, 2 + 3 * n: 1 if n % 2 else -1} if n else {}))
 
 
 def _divide_by_one_plus_a4_cubed(poly: LaurentPoly) -> LaurentPoly:

@@ -1,7 +1,7 @@
 """Exact Laurent polynomial arithmetic over the integers and rationals.
 
-Polynomials are stored as {exponent: coefficient} maps with no zero
-coefficients, so map equality is polynomial equality.  Coefficients are
+Polynomials are built from and kept as {exponent: coefficient} maps with no
+zero coefficients, so map equality is polynomial equality.  Coefficients are
 kept as given: integer input stays `int` through every ring operation
 and through `evaluate` at t = +-1, and `Fraction` enters only with a real
 denominator (a parsed `a/b`, twoloop's halves and thirds).
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -22,21 +22,10 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        """Terms as an {exponent: coefficient} map or (exponent, coefficient)
-        pairs, exponents `int`; pairs with one exponent are summed."""
-        if isinstance(terms, dict):  # unique keys: only zeros go
-            self._terms = {e: c for e, c in terms.items() if c}
-            return
-        d: dict[int, Scalar] = {}
-        for e, c in terms:
-            if c:
-                s = d.get(e, 0) + c
-                if s:
-                    d[e] = s
-                else:
-                    del d[e]
-        self._terms = d
+    def __init__(self, terms: dict[int, Scalar] | None = None):
+        """Terms as an {exponent: coefficient} map with `int` exponents;
+        zero coefficients are dropped, and no map is the zero polynomial."""
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -132,14 +121,9 @@ class LaurentPoly:
             return sum(-c if e % 2 else c for e, c in self._terms.items())
         raise ValueError(f"evaluate takes t = 1 or t = -1, not {x!r}")
 
-    def derivative(self, order: int = 1) -> "LaurentPoly":
-        """Formal derivative applied `order` times."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        p = self
-        for _ in range(order):
-            p = LaurentPoly({e - 1: e * c for e, c in p._terms.items() if e})
-        return p
+    def derivative(self) -> "LaurentPoly":
+        """The formal derivative."""
+        return LaurentPoly({e - 1: e * c for e, c in self._terms.items() if e})
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """The image under t -> t^k (k nonzero; k = -1 inverts the variable)."""

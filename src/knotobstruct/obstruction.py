@@ -9,14 +9,14 @@ A cosmetic crossing would force Ob into 16Z, so Ob outside 16Z obstructs.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
 
 from .diagram import PDCode, PretzelParams
-from .errors import DiagramTooLarge, InconsistentInput, PreconditionViolation
+from .errors import (DiagramTooLarge, InconsistentInput, PreconditionViolation,
+                     digit_estimate, print_limit)
 from .kauffman import jones
 from .laurent import LaurentPoly, Scalar
 from .seifert import (
@@ -125,16 +125,14 @@ _RATIO_PARTS = attrgetter("numerator", "denominator")
 def require_printable(*values: LaurentPoly | Scalar | None) -> None:
     """Raise DiagramTooLarge when a value has an integer (a coefficient's,
     or a rational's numerator or denominator) with more digits than
-    int-to-text conversion allows, sys.get_int_max_str_digits().  The
-    largest one's digits are bounded above by bit_length() * log10(2) + 1,
-    with no conversion made.  None values are skipped."""
-    # 0, no limit, before Python 3.10.7 (which has no such function)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    int-to-text conversion allows (print_limit), counting the largest
+    one's digits by digit_estimate.  None values are skipped."""
+    limit = print_limit()
     numbers = chain.from_iterable(
         v.terms.values() if isinstance(v, LaurentPoly) else (v,)
         for v in values if v is not None)
     top = max(map(abs, chain.from_iterable(map(_RATIO_PARTS, numbers))), default=0)
-    digits = top.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
+    digits = digit_estimate(top)
     if limit and digits > limit:
         raise DiagramTooLarge(
             f"a result has an integer of about {digits} digits, "
@@ -154,8 +152,6 @@ def json_value(value):
         return {str(e): str(c) for e, c in sorted(value.terms.items())}
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, list):
-        return list(value)
     return value
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .diagram import PretzelParams
-from .errors import DiagramTooLarge, ValidationError
+from .errors import DiagramTooLarge, ValidationError, digit_estimate, print_limit
 from .laurent import LaurentPoly
 
 #: Largest accepted Seifert matrix (genus 8).  Its one determinant is an
@@ -83,8 +83,10 @@ class SeifertMatrix:
             value = (value - c) >> b
         at_one = sum(digits)
         if at_one != 1:
+            n, limit = digit_estimate(at_one), print_limit()
+            shown = f"an integer of about {n} digits" if limit and n > limit else at_one
             raise ValidationError(
-                f"det(V - V^T) = {at_one} != 1: not a Seifert matrix of a knot"
+                f"det(V - V^T) = {shown} != 1: not a Seifert matrix of a knot"
             )
         g = size // 2
         self._alexander = LaurentPoly(
@@ -95,7 +97,7 @@ class SeifertMatrix:
         return len(self.rows)
 
     def transpose(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows)) if self.rows else ()
+        return tuple(zip(*self.rows))
 
     def __eq__(self, other):
         return isinstance(other, SeifertMatrix) and self.rows == other.rows

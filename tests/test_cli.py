@@ -23,6 +23,9 @@ GENUS_TWO = "-1,1,0,0;0,-1,0,0;0,0,-1,1;0,0,0,-1"
 #: a 2x2 Seifert matrix with 4000-digit diagonal entries: it passes every
 #: input guard, and Delta's coefficients have 8000 digits
 LONG_SEIFERT_2X2 = f"{10 ** 4000 - 1},1;0,{10 ** 4000 - 1}"
+#: no Seifert matrix of a knot: det(V - V^T) = (10^4000 - 1)^2 has 8000
+#: digits, too many to print
+LONG_INVALID_2X2 = f"1,{10 ** 4000 - 1};0,1"
 
 
 def invoke(*args, **kwargs):
@@ -193,6 +196,13 @@ class TestInvariants:
         assert "digit limit for printing integers" in result.stderr
 
     @needs_digit_limit
+    def test_long_invalid_seifert_gives_its_digit_count(self):
+        result = invoke("invariants", "--seifert", LONG_INVALID_2X2)
+        assert result.exit_code == 2
+        assert result.stderr == ("error: det(V - V^T) = an integer of about 8001 "
+                                 "digits != 1: not a Seifert matrix of a knot\n")
+
+    @needs_digit_limit
     def test_unprintable_tinv_theta_exits_2(self):
         # d = nm has 3999 digits, so Delta prints; Theta's (n + m) nm / 2
         # terms do not
@@ -295,6 +305,10 @@ class TestInvariants:
          f"{cli.PRETZEL_SCAN_ROW_CAP + 1} rows exceed the pretzel-scan cap"),
         (("--k-max", "100000000"), "100000000 rows exceed the pretzel-scan cap"),
         (("--k-max", "223", "--jones-upto", "223"), "sum to 250875, over the pretzel cap"),
+        # row counts past sys.maxsize, which len() of a range cannot take
+        (("--k-max", str(10 ** 23)), f"{10 ** 23} rows exceed the pretzel-scan cap"),
+        (("--k-min", "5", "--k-max", str(10 ** 23), "--jones-upto", "3"),
+         f"{10 ** 23 - 4} rows exceed the pretzel-scan cap"),
     ])
     def test_over_cap_pretzel_scan_exits_2_at_once(self, args, message):
         start = time.perf_counter()
@@ -474,6 +488,24 @@ class TestBatch:
         assert "digit limit for printing integers" in by_label["long"]["error"]
         assert by_label["trefoil"]["report"]["alexander"] == {"-1": "1", "0": "-1",
                                                              "1": "1"}
+
+    @needs_digit_limit
+    def test_long_invalid_matrix_is_an_error_row(self, tmp_path):
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text(
+            "kind,label,payload\n"
+            f'seifert,long,"{LONG_INVALID_2X2}"\n'
+            'seifert,trefoil,"-1,1;0,-1"\n'
+        )
+        result = invoke("batch", "--input", str(csv_path))
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        by_label = {r["label"]: r for r in doc["results"]}
+        assert by_label["long"]["error"] == (
+            "det(V - V^T) = an integer of about 8001 digits != 1: "
+            "not a Seifert matrix of a knot")
+        assert by_label["trefoil"]["report"]["determinant"] == 3
+        assert doc["summary"] == {"error": 1, "HoldsNontrivialAlexander": 1}
 
     def test_genus_two_matrix_is_an_error_row(self, tmp_path):
         csv_path = tmp_path / "knots.csv"

@@ -22,11 +22,13 @@ from knotobstruct.kauffman import (
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
 from test_cli import braid_closure_pd
-from test_moves import moved
+from test_moves import fingered, moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
 CUBE = LaurentPoly({0: 1, 4: 3, 8: 3, 12: 1})  # (1 + A^4)^3
 FIG8 = parse_pd("X(4,2,5,1); X(8,6,1,5); X(6,3,7,4); X(2,7,3,8)")
+#: the four one-crossing curls
+KINKS = [parse_pd(t) for t in ("X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,1,2)", "X(2,2,1,1)")]
 
 
 class TestBracketBrute:
@@ -57,9 +59,7 @@ class TestBracketBrute:
 
 class TestBracketContract:
     def test_small_diagrams_match_brute(self):
-        kinks = [parse_pd(t) for t in ("X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,1,2)",
-                                        "X(2,2,1,1)")]
-        for pd in [parse_pd(""), TREFOIL, mirror(TREFOIL), FIG8] + kinks:
+        for pd in [parse_pd(""), TREFOIL, mirror(TREFOIL), FIG8] + KINKS:
             assert bracket_contract(pd) == bracket_brute(pd), pd
 
     def test_trefoil_oracle(self):
@@ -115,14 +115,22 @@ BRAIDS = closed_braids()
 
 class TestContractionOrder:
     def test_matches_reference_greedy(self):
-        # gate 4's pretzel corpus, its mirrors and closed braids
+        # gate 4's pretzel corpus, its mirrors, closed braids and curls
         pds = [pretzel_pd(params) for params in pretzels(13)]
-        for pd in pds + [mirror(pd) for pd in pds] + BRAIDS + [parse_pd("")]:
+        for pd in pds + [mirror(pd) for pd in pds] + BRAIDS + KINKS + [parse_pd("")]:
             assert contraction_order(pd) == greedy_order(pd), pd
 
     @given(moved([pretzel_pd(params) for params in pretzels(7)] + BRAIDS[:20], 4))
     def test_relabelled_and_curled_match_reference(self, case):
         _, pd, _ = case
+        assert contraction_order(pd) == greedy_order(pd)
+
+    @given(fingered([pretzel_pd(params) for params in pretzels(7)]
+                    + [TREFOIL, FIG8] + BRAIDS[:20] + KINKS, 2))
+    def test_fingered_match_reference(self, case):
+        # an R2 finger adds two crossings joined by two edges; the knot is
+        # still one walk, so the frontier is never empty mid-way
+        _, pd = case
         assert contraction_order(pd) == greedy_order(pd)
 
 

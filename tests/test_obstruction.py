@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
-from knotobstruct.errors import DiagramTooLarge, InconsistentInput, PreconditionViolation
+from knotobstruct.errors import (DiagramTooLarge, InconsistentInput, PreconditionViolation,
+                                 digit_estimate)
 from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.obstruction import (
@@ -42,8 +43,8 @@ class TestJonesValues:
     def test_matches_derivative_route(self, v):
         # the derivative/evaluate route is kept here as the oracle
         assert jones_values(v) == (
-            v.derivative(2).evaluate(1),
-            v.derivative(3).evaluate(1),
+            v.derivative().derivative().evaluate(1),
+            v.derivative().derivative().derivative().evaluate(1),
             v.evaluate(-1),
             v.derivative().evaluate(-1),
         )
@@ -120,6 +121,12 @@ class TestClosedForms:
 
 
 class TestRequirePrintable:
+    def test_digit_estimate_is_exact_or_one_over(self):
+        for k in range(1, 400):
+            for n in (10 ** k - 1, 10 ** k, -(10 ** k) - 1):
+                assert digit_estimate(n) - len(str(abs(n))) in (0, 1), n
+        assert digit_estimate(0) == 1
+
     def test_no_limit_accepts_all(self, monkeypatch):
         # before Python 3.10.7 there is neither the limit nor its getter
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)

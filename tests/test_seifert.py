@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from knotobstruct.seifert import (
     seifert_from_spine,
     signature,
 )
+from test_obstruction import needs_digit_limit
 
 TREFOIL_V = SeifertMatrix([[-1, 1], [0, -1]])
 FIG8_V = SeifertMatrix([[1, 1], [0, -1]])
@@ -48,6 +50,20 @@ class TestSeifertMatrix:
             SeifertMatrix([[0, 2], [0, 0]])
         with pytest.raises(ValidationError):
             SeifertMatrix([[1, 2], [3]])
+
+    @needs_digit_limit
+    def test_invalid_message_counts_unprintable_digits(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # det(V - V^T) = x^2: 600 digits print, 1200 are counted
+            with pytest.raises(ValidationError, match=rf"= {10 ** 600} != 1"):
+                SeifertMatrix([[1, 10 ** 300], [0, 1]])
+            with pytest.raises(ValidationError, match="= an integer of about 1201 "
+                               r"digits != 1: not a Seifert matrix of a knot"):
+                SeifertMatrix([[1, 10 ** 600], [0, 1]])
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(st.sampled_from([1, 3, 5]).flatmap(lambda n: st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n),

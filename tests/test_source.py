@@ -68,3 +68,31 @@ def test_terms_map_stays_in_laurent(path):
 def test_private_terms_are_found():
     tree = ast.parse("p._terms = {}\nx = p.terms\ny = q._terms[0]\n_terms = 1\n")
     assert private_terms_lines(tree) == [1, 3]
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Names an import binds that the module never reads, by line;
+    `from __future__` imports are directives, not names."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {(a.asname or a.name): node.lineno for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imports_are_used(path):
+    # a leftover import outlives the code that needed it; __init__.py
+    # imports to re-export
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import re as regex\nfrom typing import Iterable, Union\n"
+                     "x: Union[int, str] = regex.compile('x')\n")
+    assert unused_imports(tree) == ["line 2: os", "line 4: Iterable"]
