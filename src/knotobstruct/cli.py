@@ -238,7 +238,8 @@ def _batch_row_report(kind: str, payload: list[str]) -> ObstructionReport:
 def batch(input_path, output_path):
     """Process a CSV of knots (header kind,label,payload...) into reports."""
     try:
-        with open(input_path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(input_path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputSyntaxError(f"--input {input_path}: {exc}") from exc

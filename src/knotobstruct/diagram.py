@@ -90,9 +90,11 @@ def validate_pd(pd: PDCode) -> None:
     Together these force the walk 1 -> 2 -> ... -> 2n -> 1, so a link or
     a half-turned quad raises ValidationError.  Last, the faces are the
     orbits of "follow the edge to its other end, then turn to the previous
-    slot" on the darts 4i + s (slot s of crossing i); by Euler's formula
-    the connected diagram is planar exactly when n >= 1 crossings give
-    n + 2 faces, so a virtual knot's code raises ValidationError too.
+    slot" on the darts 4i + s, where slots s = 0, 1, 2, 3 are the quad's
+    a, b, c, d (quad i's own counterclockwise order, not pretzel_pd's
+    compass slots); by Euler's formula the connected diagram is planar
+    exactly when n >= 1 crossings give n + 2 faces, so a virtual knot's
+    code raises ValidationError too.
     """
     n = pd.n
     flat = [e for quad in pd.crossings for e in quad]  # label at dart 4i + s
@@ -171,81 +173,42 @@ def mirror(pd: PDCode) -> PDCode:
 # Pretzel diagram generation
 #
 # Three vertical twist regions side by side, joined by arcs across the top
-# and the bottom (the rightmost region wraps around to the leftmost).  In
-# a region with positive parameter the strand entering at the top left
-# passes *under* at each crossing; this handedness choice makes P(1,1,1)
-# reproduce the writhe +3 trefoil above and is frozen by the acceptance
-# tests.
+# and the bottom (the rightmost region wraps around to the leftmost).
+# Crossings are numbered down each region in turn, and dart 4c + s is slot
+# s of crossing c, the slots NW, SW, SE, NE taken counterclockwise: s ^ 2
+# is the slot straight across and (s + 1) % 4 the next one counterclockwise.
+# In a region with positive parameter the strand entering at the top left
+# passes *under* at each crossing (NW-SE is the under-diagonal; SW-NE for a
+# negative parameter); this handedness choice makes P(1,1,1) reproduce the
+# writhe +3 trefoil above and is frozen by the acceptance tests.
 # ---------------------------------------------------------------------------
-
-_STRAIGHT = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
-# counterclockwise slot cycle around a crossing
-_CCW = {"NW": "SW", "SW": "SE", "SE": "NE", "NE": "NW"}
 
 
 def pretzel_pd(params: PretzelParams) -> PDCode:
     """PD code of the pretzel knot P(p,q,r) with |p|+|q|+|r| crossings."""
-    p, q, r = params.as_tuple()
-    sizes = [abs(p), abs(q), abs(r)]
-    signs = [1 if v > 0 else -1 for v in (p, q, r)]
-
-    # crossing ids per region, top to bottom
-    ids: list[list[int]] = []
-    k = 0
-    for sz in sizes:
-        ids.append(list(range(k, k + sz)))
-        k += sz
-
-    # arcs between crossing slots: each (crossing, slot) has one partner
-    conn: dict[tuple[int, str], tuple[int, str]] = {}
-
-    def join(x, y):
-        conn[x] = y
-        conn[y] = x
-
-    for i in range(3):
-        col = ids[i]
-        for j in range(len(col) - 1):
-            join((col[j], "SW"), (col[j + 1], "NW"))
-            join((col[j], "SE"), (col[j + 1], "NE"))
-    for i in range(3):
-        nxt = (i + 1) % 3
-        join((ids[i][0], "NE"), (ids[nxt][0], "NW"))        # top arcs
-        join((ids[i][-1], "SE"), (ids[nxt][-1], "SW"))      # bottom arcs
-
-    # orient the knot: walk, entering crossings and passing straight through
-    start = (ids[0][0], "NW")
-    entries: list[tuple[int, str]] = []
-    pos = start
-    while True:
-        entries.append(pos)
-        ci, slot = pos
-        pos = conn[(ci, _STRAIGHT[slot])]
-        if pos == start:
-            break
-
-    # label edges 1..2n along the orientation; edge k enters at entries[k-1]
-    label: dict[tuple[int, str], int] = {}
-    for step, (ci, slot) in enumerate(entries):
-        lab = step + 1
-        label[(ci, slot)] = lab
-        prev_ci, prev_slot = entries[step - 1]
-        label[(prev_ci, _STRAIGHT[prev_slot])] = lab
-
-    entry_slots: dict[int, list[str]] = {}
-    for ci, slot in entries:
-        entry_slots.setdefault(ci, []).append(slot)
-
+    cols = params.as_tuple()
+    top = [0, abs(cols[0]), abs(cols[0]) + abs(cols[1])]  # first crossing per region
+    n = top[2] + abs(cols[2])
+    bottom = [top[1] - 1, top[2] - 1, n - 1]
+    conn = [0] * (4 * n)  # the dart at the other end of each dart's arc
+    for i in range(3):  # region i's top and bottom arcs run to region j
+        j = (i + 1) % 3
+        arcs = [(4 * top[i] + 3, 4 * top[j]), (4 * bottom[i] + 2, 4 * bottom[j] + 1)]
+        for c in range(top[i], bottom[i]):  # SW to the NW below, SE to the NE below
+            arcs += [(4 * c + 1, 4 * c + 4), (4 * c + 2, 4 * c + 7)]
+        for x, y in arcs:
+            conn[x], conn[y] = y, x
+    # orient from NW of crossing 0, passing straight through each crossing;
+    # edge lab enters at one dart and leaves straight across as edge lab + 1
+    label, entered = [0] * (4 * n), [False] * (4 * n)
+    dart = 0
+    for lab in range(1, 2 * n + 1):
+        label[dart], label[dart ^ 2], entered[dart] = lab, lab % (2 * n) + 1, True
+        dart = conn[dart ^ 2]
     quads = []
-    for i in range(3):
-        # positive half-twists: the NW-SE diagonal is the under-strand
-        under = {"NW", "SE"} if signs[i] > 0 else {"NE", "SW"}
-        for ci in ids[i]:
-            under_in = next(s for s in entry_slots[ci] if s in under)
-            s0 = under_in
-            s1 = _CCW[s0]
-            s2 = _STRAIGHT[s0]
-            s3 = _CCW[s2]
-            quads.append(tuple(label[(ci, s)] for s in (s0, s1, s2, s3)))
-
+    for i, v in enumerate(cols):
+        under = 0 if v > 0 else 1
+        for c in range(top[i], bottom[i] + 1):  # start at the under-strand's entry
+            s = under if entered[4 * c + under] else under ^ 2
+            quads.append(tuple(label[4 * c + (s + t) % 4] for t in range(4)))
     return PDCode(tuple(quads))

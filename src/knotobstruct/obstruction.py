@@ -63,14 +63,9 @@ def jones_values(
     return v2, v3, vm1, dvm1
 
 
-def _w3(v2: Scalar, v3: Scalar) -> Fraction:
-    return Fraction(v3 + 3 * v2, 36)
-
-
 def w3(jones_poly: LaurentPoly) -> Fraction:
     """(1/36) V'''(1) + (1/12) V''(1), the degree-3 finite type invariant."""
-    v2, v3, _, _ = jones_values(jones_poly)
-    return _w3(v2, v3)
+    return _thetas(*jones_values(jones_poly))[0]
 
 
 def _require_knot_jones(jones_poly: LaurentPoly) -> None:
@@ -94,12 +89,13 @@ def _lambda_w(vm1: Scalar, dvm1: Scalar, sigma: int) -> Fraction:
 
 def _thetas(
     v2: Scalar, v3: Scalar, vm1: Scalar, dvm1: Scalar
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(Theta(1), Theta(-1), Ob) = (2 w3, -V'(-1) V(-1)/12, their
-    difference), each one Fraction of an integer sum."""
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(w3, Theta(1), Theta(-1), Ob) = (w3, 2 w3, -V'(-1) V(-1)/12,
+    Theta(-1) - Theta(1)), each one Fraction of an integer sum."""
     w = v3 + 3 * v2  # 36 w3
     p = dvm1 * vm1  # -12 Theta(-1)
-    return Fraction(w, 18), Fraction(-p, 12), Fraction(-3 * p - 2 * w, 36)
+    return (Fraction(w, 36), Fraction(w, 18), Fraction(-p, 12),
+            Fraction(-3 * p - 2 * w, 36))
 
 
 def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
@@ -114,8 +110,7 @@ def obstruction_value(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone:
     Theta(1) = 2 w3 and Theta(-1) = -(1/12) V'(-1) V(-1)."""
-    v2, v3, vm1, dvm1 = jones_values(jones_poly)
-    return _thetas(v2, v3, vm1, dvm1)
+    return _thetas(*jones_values(jones_poly))[1:]
 
 
 #: an int or Fraction's (numerator, denominator)
@@ -241,8 +236,7 @@ def cosmetic_verdict(
     w3v = lam = th1 = thm1 = ob = vm1 = None
     if jp is not None:
         v2, v3, vm1, dvm1 = jones_values(jp)
-        w3v = _w3(v2, v3)
-        th1, thm1, ob = _thetas(v2, v3, vm1, dvm1)
+        w3v, th1, thm1, ob = _thetas(v2, v3, vm1, dvm1)
         if sigma is not None:
             lam = _lambda_w(vm1, dvm1, sigma)
     # each of these is printed: in the report, a note or an error below

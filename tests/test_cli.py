@@ -530,6 +530,17 @@ class TestBatch:
         assert result.exit_code == 2
         assert result.stderr == "error: CSV header must start with: kind,label\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = 'kind,label,payload\npretzel,trefoil,1,1,1\nseifert,t,"-1,1;0,-1"\n'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = invoke("batch", "--input", str(plain))
+        got = invoke("batch", "--input", str(marked))
+        assert want.exit_code == got.exit_code == 0
+        assert got.stdout == want.stdout and got.stderr == want.stderr
+        assert json.loads(got.stdout)["summary"] == {"HoldsNontrivialAlexander": 2}
+
     @pytest.mark.parametrize("content", [
         b"kind,label\npretzel,\xff,1,1,1\n",
         b"kind,label\npd,big," + b"X" * 131073 + b"\n",

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_moves import DIAGRAMS
@@ -121,6 +123,14 @@ class TestPretzelParams:
     def test_crossing_count(self):
         assert pretzel_pd(PretzelParams(5, 7, -3)).n == 15
         assert pretzel_pd(PretzelParams(1, 1, 1)).n == 3
+
+    def test_labels_are_pinned(self):
+        # the benchmark's PD rows are these labels; pretzels(13) is gate 4's corpus
+        assert render_pd(pretzel_pd(PretzelParams(1, 1, 1))) == (
+            "X(1,4,2,5); X(5,2,6,3); X(3,6,4,1)")
+        text = "\n".join(render_pd(pretzel_pd(params)) for params in pretzels(13))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0f0324155b133de35be1cdc86081c8b9d28db172ff9e7d8095fa25e6bf926f7c")
 
 
 class TestWrithe:

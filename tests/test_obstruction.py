@@ -14,7 +14,6 @@ from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.obstruction import (
     _lambda_w,
     _thetas,
-    _w3,
     cosmetic_verdict,
     jones_values,
     mullins_lambda_w,
@@ -109,10 +108,9 @@ values = st.integers(-10**6, 10**6) | st.fractions(-10**3, 10**3, max_denominato
 class TestClosedForms:
     @given(values, values, values.filter(bool), values)
     def test_match_multi_step_formulas(self, v2, v3, vm1, dvm1):
-        assert _w3(v2, v3) == reference_w3(v2, v3)
         got = _thetas(v2, v3, vm1, dvm1)
-        assert got == reference_thetas(v2, v3, vm1, dvm1)
-        assert all(type(x) is Fraction for x in (_w3(v2, v3), *got))
+        assert got == (reference_w3(v2, v3), *reference_thetas(v2, v3, vm1, dvm1))
+        assert all(type(x) is Fraction for x in got)
 
     @given(values.filter(bool), values, st.integers(-32, 32))
     def test_lambda_w_matches(self, vm1, dvm1, sigma):

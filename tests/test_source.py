@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import knotobstruct
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "knotobstruct").glob("*.py"))
 
 
@@ -96,3 +98,12 @@ def test_unused_imports_are_found():
                      "import re as regex\nfrom typing import Iterable, Union\n"
                      "x: Union[int, str] = regex.compile('x')\n")
     assert unused_imports(tree) == ["line 2: os", "line 4: Iterable"]
+
+
+def test_exports_are_the_imports():
+    # a deletion must not leave a stale export, nor a name imported but not exported
+    init = SOURCES[0].parent / "__init__.py"
+    tree = ast.parse(init.read_text(), str(init))
+    imported = [a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(imported) == sorted(knotobstruct.__all__)
