@@ -7,7 +7,6 @@ Verdicts are data, not errors: only input and I/O failures exit nonzero.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from dataclasses import fields
 
@@ -21,7 +20,7 @@ from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
     ObstructionReport,
     cosmetic_verdict,
-    json_value,
+    json_text,
     obstruction_value,
     pretzel_family,
     require_printable,
@@ -102,10 +101,9 @@ def _print_report(
 ) -> None:
     """The report as JSON or as a table; a given theta leads either."""
     if as_json:
-        doc = report.to_json_dict()
-        if theta is not None:
-            doc = {"theta": json_value(theta), **doc}
-        click.echo(json.dumps(doc, indent=2))
+        # a dataclass's __dict__ holds its fields in declaration order
+        doc = report if theta is None else {"theta": theta, **vars(report)}
+        click.echo(json_text(doc))
         return
     if theta is not None:
         click.echo(f"{'theta':18} {theta.render()}")
@@ -206,7 +204,7 @@ def pretzel_scan(k_min, k_max, jones_upto, as_json):
             row["routes_agree"] = ob_jones == ob
         rows.append(row)
     if as_json:
-        click.echo(json.dumps(rows, indent=2))
+        click.echo(json_text(rows))
         return
     for row in rows:
         line = (
@@ -259,10 +257,10 @@ def batch(input_path, output_path):
             results.append({"label": label, "error": str(exc), "line": lineno})
             counts["error"] = counts.get("error", 0) + 1
             continue
-        results.append({"label": label, "report": report.to_json_dict()})
+        results.append({"label": label, "report": report})
         counts[report.verdict] = counts.get(report.verdict, 0) + 1
     doc = {"results": results, "summary": counts}
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     if output_path:
         try:
             with open(output_path, "w") as fh:

@@ -9,9 +9,10 @@ A cosmetic crossing would force Ob into 16Z, so Ob outside 16Z obstructs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .diagram import PDCode, PretzelParams
@@ -140,16 +141,6 @@ def _mod16_nonzero(ob: Fraction) -> bool:
     return ob.denominator != 1 or int(ob) % 16 != 0
 
 
-def json_value(value):
-    """A report value in JSON form: rationals as "n" or "n/d" strings,
-    polynomials as exponent -> coefficient maps."""
-    if isinstance(value, LaurentPoly):
-        return {str(e): str(c) for e, c in sorted(value.terms.items())}
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 @dataclass
 class ObstructionReport:
     """All computed invariants plus the verdict and the deciding branch."""
@@ -167,9 +158,43 @@ class ObstructionReport:
     verdict: str
     notes: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        """Fields in order, each in its json_value form."""
-        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+
+#: the JSON text of each scalar type a report holds
+_SCALAR_TEXT = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    Fraction: lambda value: f'"{value}"',  # digits, "-" and "/" need no escape
+}
+
+
+def json_text(value, indent: str = "") -> str:
+    """The JSON text that json.dumps(..., indent=2) writes for a report
+    value on a line that starts with `indent`: rationals as "n" or "n/d"
+    strings, polynomials as exponent -> coefficient maps in exponent order,
+    a report as its fields in order, strings in ASCII with \\uXXXX escapes."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        brackets, items = "[]", [json_text(v, inner) for v in value]
+    elif isinstance(value, LaurentPoly):
+        brackets = "{}"
+        items = [f'"{e}": "{c}"' for e, c in sorted(value.terms.items())]
+    elif isinstance(value, (dict, ObstructionReport)):
+        # a dataclass's __dict__ holds its fields in declaration order
+        pairs = value.items() if isinstance(value, dict) else vars(value).items()
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {json_text(v, inner)}"
+                 for k, v in pairs]
+    else:
+        raise TypeError(f"no JSON form for {type(value).__name__}")
+    if not items:
+        return brackets
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
 
 
 def cosmetic_verdict(

@@ -12,7 +12,7 @@ from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
                                    PRETZEL_TOTAL_CAP, bracket_contract,
                                    contraction_order, jones)
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.obstruction import json_value, pretzel_family
+from knotobstruct.obstruction import json_text, pretzel_family
 from test_obstruction import needs_digit_limit
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
@@ -103,6 +103,37 @@ class TestInvariants:
         doc = json.loads(result.output)
         assert doc["theta"] == {"-1": "-4", "0": "-28", "1": "-4"}
         assert doc["verdict"] == "Inconclusive"
+
+    def test_theta_leads_the_json_report(self):
+        # the exact bytes: theta first, then the report's fields in order
+        result = invoke(
+            "invariants", "--spine", "1,1,1", "--tinv", "1,2,3,4", "--json"
+        )
+        assert result.exit_code == 0
+        assert result.output == """{
+  "theta": {
+    "-1": "56",
+    "0": "-238",
+    "1": "56"
+  },
+  "alexander": {
+    "-1": "-1",
+    "0": "3",
+    "1": "-1"
+  },
+  "jones": null,
+  "determinant": 5,
+  "sigma": 0,
+  "w3": null,
+  "lambda_w": null,
+  "theta_at_1": null,
+  "theta_at_minus1": null,
+  "ob": null,
+  "ob_mod16_nonzero": null,
+  "verdict": "HoldsNontrivialAlexander",
+  "notes": []
+}
+"""
 
     def test_requires_exactly_one_source(self):
         for args in [(), ("--pretzel", "1,1,1", "--spine", "0,0,0")]:
@@ -363,7 +394,7 @@ class TestObstruct:
         params = PretzelParams(13, 15, -7)
         result = invoke("obstruct", "--pd", render_pd(pretzel_pd(params)), "--json")
         assert result.exit_code == 0
-        assert json.loads(result.output)["jones"] == json_value(jones(params))
+        assert json.loads(result.output)["jones"] == json.loads(json_text(jones(params)))
 
     def test_large_pretzel_under_one_second(self):
         # the family member k = 2500: 20005 crossings

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from knotobstruct.errors import (DiagramTooLarge, InconsistentInput, Preconditio
 from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.obstruction import (
+    ObstructionReport,
     _lambda_w,
     _thetas,
     cosmetic_verdict,
+    json_text,
     jones_values,
     mullins_lambda_w,
     obstruction_value,
@@ -301,10 +304,69 @@ class TestCosmeticVerdict:
         assert rep.ob == -112 and int(rep.ob) % 16 == 0
 
 
+def json_form(value):
+    """A report value as plain dicts, lists and strings, the form that the
+    text writer's output must equal json.dumps(..., indent=2) of."""
+    if isinstance(value, ObstructionReport):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: json_form(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_form(v) for v in value]
+    if isinstance(value, LaurentPoly):
+        return {str(e): str(c) for e, c in sorted(value.terms.items())}
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+# non-ASCII (astral included), quotes, backslashes and control characters
+texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028✓😀') | st.characters())
+rationals = st.fractions(max_denominator=10**6)
+polys = st.dictionaries(st.integers(-40, 40), st.integers() | rationals,
+                        max_size=6).map(LaurentPoly)  # {} is the zero polynomial
+reports = st.builds(
+    ObstructionReport,
+    **{name: st.none() | polys for name in ("alexander", "jones")},
+    **{name: st.none() | st.integers() for name in ("determinant", "sigma")},
+    **{name: st.none() | rationals
+       for name in ("w3", "lambda_w", "theta_at_1", "theta_at_minus1", "ob")},
+    ob_mod16_nonzero=st.none() | st.booleans(),
+    verdict=texts,
+    notes=st.lists(texts, max_size=3),
+)
+batch_rows = (st.fixed_dictionaries({"label": texts, "report": reports})
+              | st.fixed_dictionaries({"label": texts, "error": texts,
+                                       "line": st.integers(2, 10**6)}))
+report_documents = st.one_of(
+    reports,
+    st.tuples(polys, reports).map(lambda tr: {"theta": tr[0], **vars(tr[1])}),
+    st.fixed_dictionaries({
+        "results": st.lists(batch_rows, max_size=4),  # [] included
+        "summary": st.dictionaries(texts, st.integers(0, 10**4), max_size=3),
+    }),
+)
+
+
 class TestReportJson:
+    @given(report_documents)
+    def test_text_is_json_dumps_of_the_json_form(self, doc):
+        assert json_text(doc) == json.dumps(json_form(doc), indent=2)
+
+    def test_pretzel_scan_rows_and_empties(self):
+        rows = [{"k": 1, "p": 5, "q": 7, "r": -3, "alexander_trivial": True,
+                 "ob_closed_form": "-8", "verdict_mod16": True}, {}, [], None]
+        assert json_text(rows) == json.dumps(rows, indent=2)
+        assert json_text({"results": [], "summary": {}}) == (
+            '{\n  "results": [],\n  "summary": {}\n}')
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError):
+            json_text({1, 2})
+
     def test_roundtrip_exact(self):
         report = cosmetic_verdict(pretzel=PretzelParams(5, 7, -3))
-        doc = json.loads(json.dumps(report.to_json_dict()))
+        doc = json.loads(json_text(report))
         assert doc["verdict"] == "HoldsMod16"
         assert Fraction(doc["ob"]) == report.ob
         assert Fraction(doc["w3"]) == report.w3
@@ -318,7 +380,7 @@ class TestReportJson:
         assert alex_back == report.alexander
 
     def test_field_names(self):
-        doc = cosmetic_verdict(pretzel=PretzelParams(1, 1, 1)).to_json_dict()
+        doc = json.loads(json_text(cosmetic_verdict(pretzel=PretzelParams(1, 1, 1))))
         assert set(doc) == {
             "alexander",
             "jones",

@@ -100,6 +100,27 @@ def test_unused_imports_are_found():
     assert unused_imports(tree) == ["line 2: os", "line 4: Iterable"]
 
 
+def json_dump_lines(tree: ast.AST) -> list[int]:
+    """Lines that read an attribute named dump or dumps (json.dumps, under
+    any module name) or import either name from json."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                  or isinstance(node, ast.ImportFrom) and node.module == "json"
+                  and any(a.name in ("dump", "dumps") for a in node.names))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_json_writer(path):
+    # obstruction.json_text writes every JSON document the program prints
+    assert json_dump_lines(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_json_dumps_are_found():
+    tree = ast.parse("import json\nx = json.dumps(1)\nfrom json import dumps as d\n"
+                     "y = json.loads(d(2))\nimport json as j\nj.dump(x, f)\n")
+    assert json_dump_lines(tree) == [2, 3, 6]
+
+
 def test_exports_are_the_imports():
     # a deletion must not leave a stale export, nor a name imported but not exported
     init = SOURCES[0].parent / "__init__.py"
