@@ -10,14 +10,13 @@ Three engines, all in the bracket variable A:
 - a brute-force state sum over all 2^n smoothings (bracket_brute), the
   trusted oracle the tests and selftest check the others against, capped
   at BRUTE_CAP = 20 crossings;
-- a twist-region route (bracket_twist) for pretzel knots that closes up
-  three twist tangles, each given as (1 + A^4) times its coordinates in
-  one closed form of two terms per coefficient; the closure adds its few
-  dozen sparse terms into one {exponent: coefficient} map and divides
-  out (1 + A^4)^3 by three running sums per exponent class mod 4, so the
-  route takes O(|p| + |q| + |r|) steps, capped at PRETZEL_TOTAL_CAP.
+- a twist-region route (bracket_twist) for pretzel knots: a closed form
+  in two monomials per twist region gives (1 + A^4)^3 <D> in at most 20
+  terms, and three running sums divide (1 + A^4)^3 out, so the route
+  takes O(|p| + |q| + |r|) steps, capped at PRETZEL_TOTAL_CAP.
 The Jones polynomial comes from the writhe-corrected bracket under
-t = A^-4.
+t = A^-4; for pretzels it is read straight off the twist route's
+quotient, with no bracket polynomial built in between.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ CONTRACT_WIDTH_CAP = 14
 #: 1.2 s) does not
 CONTRACT_WORK_CAP = 3_500_000
 
-#: largest |p| + |q| + |r| bracket_twist accepts; at a total of 249,999 a
-#: whole cosmetic_verdict took 0.24-0.32 s and obstruct --json 0.42-0.64 s
+#: largest |p| + |q| + |r| the twist route accepts; at a total of 249,999
+#: a whole cosmetic_verdict took 0.14-0.16 s and obstruct --json 0.24-0.33 s
 #: on a 2-core x86-64 VM (Python 3.11.7)
 PRETZEL_TOTAL_CAP = 250_000
 
@@ -232,98 +231,96 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
 
 
 def twist_tangle(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(1 + A^4) times the bracket coordinates (alpha_n, beta_n) of the
-    vertical 2-tangle with n half-twists, in the basis {0-tangle,
-    infinity-tangle}.
+    """The monomials (u, v) = (A^-n, -(-1)^n A^3n) of the vertical 2-tangle
+    with n half-twists: its bracket coordinates in the basis {0-tangle,
+    infinity-tangle} are alpha_n = u and beta_n = A^2 (u + v) / (1 + A^4).
 
-    One positive half-twist maps (alpha, beta) to
-    (A^-1 alpha, A alpha + (A^-1 + A delta) beta) by the skein relation;
-    the assignment of A vs A^-1 is the one that closes up to the trefoil
-    oracle's bracket for P(1,1,1).  Since A^-1 + A delta = -A^3, this
-    linear step from (1 + A^4, 0) is solved for every signed n by
-      (A^-n + A^(4-n),  A^(2-n) - (-1)^n A^(2+3n)),
-    the geometric sum beta_n = sum_{j<n} (-1)^j A^(4j+2-n) cleared of its
-    denominator 1 + A^4.  At n = 0 both beta terms are A^2 and cancel, so
-    beta_0 is zero, not the one term a two-key map literal would keep.
+    By the skein relation one positive half-twist maps (alpha, beta) to
+    (A^-1 alpha, A alpha + (A^-1 + A delta) beta) = (A^-1 alpha,
+    A alpha - A^3 beta), with A and A^-1 assigned so that P(1,1,1) closes
+    up to the trefoil oracle's bracket.  From (1, 0) this gives the two
+    monomials for every signed n: beta_n is the geometric sum
+    sum_{j<n} (-1)^j A^(4j+2-n), zero at n = 0, where v = -u.
     """
-    return (LaurentPoly({-n: 1, 4 - n: 1}),
-            LaurentPoly({2 - n: 1, 2 + 3 * n: 1 if n % 2 else -1} if n else {}))
+    return LaurentPoly({-n: 1}), LaurentPoly({3 * n: 1 if n % 2 else -1})
 
 
-def _divide_by_one_plus_a4_cubed(poly: LaurentPoly) -> LaurentPoly:
-    """The exact quotient poly / (1 + A^4)^3 by running sums.
+def _divide_by_one_plus_a4_cubed(p: list[int]) -> list[int]:
+    """The exact quotient q of p = (1 + x)^3 q, both dense coefficient
+    lists from the constant term up (x = A^4 in bracket_twist).
 
-    Each class of exponents mod 4 is a polynomial in A^4 on its own, laid
-    out as a dense list from the lowest exponent.  Per factor 1 + A^4 the
-    quotient's coefficients are q_i = p_i - q_(i-1) from the bottom up; on
-    the signed coefficients (-1)^i p_i this is the running sum, one
-    itertools.accumulate, and the signs carry over to the next factor, so
-    they are set once before the three sums and undone once after.  The
-    top entry of each sum is the remainder.  O(span) steps; raises
-    NormalizationError when a remainder is not zero.
+    Per factor 1 + x, q_i = p_i - q_(i-1) from the bottom up: on the signed
+    coefficients (-1)^i p_i a running sum (itertools.accumulate), whose
+    top entry is the remainder.  The signs carry over from factor to
+    factor, so they are set once before the three sums and undone once
+    after.  O(len(p)) steps for p of length 3 or more, or with a nonzero
+    last entry; raises NormalizationError when a remainder is not zero.
     """
-    terms = poly.terms
-    if not terms:
-        return poly
-    lo = min(terms)
-    n = (max(terms) - lo) // 4 + 1
-    classes: dict[int, list[int]] = {}
-    for e, c in terms.items():
-        i, r = divmod(e - lo, 4)
-        if r not in classes:
-            classes[r] = [0] * n
-        classes[r][i] = -c if i & 1 else c
-    out: dict[int, int] = {}
-    for r, q in classes.items():
-        for _ in range(3):
-            q = list(accumulate(q))
-            if q.pop():
-                raise NormalizationError("bracket sum not divisible by (1 + A^4)^3")
-        q[1::2] = map(neg, q[1::2])
-        out |= {e: c for e, c in zip(range(lo + r, lo + 4 * n, 4), q) if c}
-    return LaurentPoly(out)
+    q = p.copy()
+    q[1::2] = map(neg, q[1::2])
+    for _ in range(3):
+        q = list(accumulate(q))
+        if q.pop():
+            raise NormalizationError("bracket sum not divisible by (1 + A^4)^3")
+    q[1::2] = map(neg, q[1::2])
+    return q
 
 
-#: delta^(loops - 1) as (exponent, coefficient) pairs, for the pretzel
-#: closure's 3, 2, 1 and 2 loops with 0, 1, 2 and 3 horizontal smoothings
-_CLOSURE_DELTAS = tuple(_DELTA_POWERS[loops - 1] for loops in (3, 2, 1, 2))
+#: the pretzel closure's weights, with F = 1 + A^4: W0 = A^-4 F^5 - 3 F^3
+#: + 2 A^4 F and W3 = A^4 F as (exponent, coefficient) pairs, and
+#: W1 = F (1 + A^4 + A^8), which multiplies a sum of three monomials
+_W0 = ((-4, 1), (0, 2), (4, 3), (8, 3), (12, 2), (16, 1))
+_W1 = LaurentPoly({0: 1, 4: 2, 8: 2, 12: 1})
+_W3 = ((4, 1), (8, 1))
+
+
+def _twist_bracket(params: PretzelParams) -> tuple[int, list[int]]:
+    """<P(p,q,r)> as the exponent lo of its lowest term and its
+    coefficients at A^lo, A^(lo + 4), ...; see bracket_twist."""
+    pqr = params.as_tuple()
+    total = sum(map(abs, pqr))
+    if total > PRETZEL_TOTAL_CAP:
+        raise DiagramTooLarge(
+            f"|p| + |q| + |r| = {total} exceeds the pretzel cap {PRETZEL_TOTAL_CAP}"
+        )
+    # (e_i, a_i) and (f_i, b_i): the terms of tangle i's u and v
+    (e1, a1), (f1, b1), (e2, a2), (f2, b2), (e3, a3), (f3, b3) = (
+        next(iter(x.terms.items())) for n in pqr for x in twist_tangle(n))
+    mixed: dict[int, int] = {}  # two of these meet when two entries are equal
+    for e, c in ((f1 + e2 + e3, b1 * a2 * a3), (e1 + f2 + e3, a1 * b2 * a3),
+                 (e1 + e2 + f3, a1 * a2 * b3)):
+        mixed[e] = mixed.get(e, 0) + c
+    eu, cu, ev, cv = e1 + e2 + e3, a1 * a2 * a3, f1 + f2 + f3, b1 * b2 * b3
+    numer = ([(e + eu, c * cu) for e, c in _W0]
+             + [(e, -c) for e, c in (_W1 * LaurentPoly(mixed)).terms.items()]
+             + [(e + ev, -c * cv) for e, c in _W3])
+    s = sum(pqr)
+    if any((e + s) % 4 for e, _ in numer):
+        raise NormalizationError(f"closure exponent outside the class -{s} mod 4")
+    lo = min(numer)[0]
+    dense = [0] * ((max(numer)[0] - lo) // 4 + 1)
+    for e, c in numer:
+        dense[(e - lo) // 4] += c
+    return lo, _divide_by_one_plus_a4_cubed(dense)
 
 
 def bracket_twist(params: PretzelParams) -> LaurentPoly:
     """Kauffman bracket of P(p,q,r) from three twist-region tangles.
 
-    The pretzel closure of three 2-tangles produces 3 loops when all
-    three are smoothed vertically, 2 loops with exactly one horizontal
-    smoothing or all three, and 1 loop with exactly two.  The closure runs
-    on twist_tangle's cleared coordinates, two terms each: the first
-    tangle's are read as (exponent, coefficient) pairs, the last two
-    tangles' are multiplied pairwise into four products of at most four
-    terms, and the 8 smoothing masks add every term of coordinate x
-    product x delta^(loops - 1) into one {exponent: coefficient} map.  Its
-    sum is (1 + A^4)^3 <D>, divided out exactly in O(|p| + |q| + |r|).
-    Raises DiagramTooLarge when |p| + |q| + |r| exceeds PRETZEL_TOTAL_CAP.
+    The closure of three 2-tangles has 3 loops when all three are smoothed
+    vertically, 2 with exactly one or all three smoothed horizontally, and
+    1 with exactly two.  On twist_tangle's coordinates (u, A^2 (u + v) / F),
+    F = 1 + A^4, its 8 smoothings sum to
+      F^3 <D> = W0 u1 u2 u3 - W1 (v1 u2 u3 + u1 v2 u3 + u1 u2 v3) - W3 v1 v2 v3
+    (the weights _W0, _W1 and _W3; the terms with two v's cancel): at most
+    20 terms, all in the exponent class -(p + q + r) mod 4, whose dense
+    list loses F^3 to three running sums, O(|p| + |q| + |r|) steps.
+    Raises DiagramTooLarge when |p| + |q| + |r| exceeds PRETZEL_TOTAL_CAP,
+    and NormalizationError when a term falls outside the class or the
+    division leaves a remainder.
     """
-    total = sum(map(abs, params.as_tuple()))
-    if total > PRETZEL_TOTAL_CAP:
-        raise DiagramTooLarge(
-            f"|p| + |q| + |r| = {total} exceeds the pretzel cap {PRETZEL_TOTAL_CAP}"
-        )
-    first, second, third = (twist_tangle(v) for v in params.as_tuple())
-    heads = [tuple(x.terms.items()) for x in first]
-    # tails[b1][b2]: the last two tangles' coordinates for mask bits 1 and 2
-    tails = [[tuple((y * z).terms.items()) for z in third] for y in second]
-    acc: dict[int, int] = {}
-    for mask in range(8):  # bit i set: tangle i smoothed horizontally
-        deltas = _CLOSURE_DELTAS[mask.bit_count()]
-        tail = tails[mask >> 1 & 1][mask >> 2]
-        for e0, c0 in heads[mask & 1]:
-            for e1, c1 in tail:
-                e1 += e0
-                c1 *= c0
-                for ed, cd in deltas:
-                    e = e1 + ed
-                    acc[e] = acc.get(e, 0) + c1 * cd
-    return _divide_by_one_plus_a4_cubed(LaurentPoly(acc))
+    lo, q = _twist_bracket(params)
+    return LaurentPoly(dict(zip(range(lo, lo + 4 * len(q), 4), q)))
 
 
 def jones(diagram: PDCode | PretzelParams) -> LaurentPoly:
@@ -335,17 +332,19 @@ def jones(diagram: PDCode | PretzelParams) -> LaurentPoly:
     so each of its |v| crossings has the sign of v (P(1,1,1) is the
     writhe +3 trefoil).  No PD code is built for pretzels, which keeps
     this route independent of the pretzel_pd generator the PD engines
-    are checked on.  Raises NormalizationError if the writhe-corrected
-    bracket has an exponent not divisible by 4 (a convention tripwire).
+    are checked on, and V is read straight off its quotient.  Raises
+    NormalizationError if a writhe-corrected bracket exponent is not
+    divisible by 4 (a convention tripwire).
     """
     if isinstance(diagram, PretzelParams):
         w = sum(diagram.as_tuple())
-        br = bracket_twist(diagram)
-    else:
-        w = writhe(diagram)
-        br = bracket_contract(diagram)
+        lo, q = _twist_bracket(diagram)
+        top = (3 * w - lo) // 4  # the exponent of t at A^lo
+        return LaurentPoly(dict(zip(range(top, top - len(q), -1),
+                                    map(neg, q) if w % 2 else q)))
+    w = writhe(diagram)
     shift = 3 * w
-    terms = br.terms
+    terms = bracket_contract(diagram).terms
     bad = [e - shift for e in terms if (e - shift) % 4]
     if bad:
         raise NormalizationError(

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from .diagram import PDCode, PretzelParams
 from .errors import (DiagramTooLarge, InconsistentInput, PreconditionViolation,
@@ -114,22 +112,23 @@ def obstruction_value(
     return _thetas(*jones_values(jones_poly))[1:]
 
 
-#: an int or Fraction's (numerator, denominator)
-_RATIO_PARTS = attrgetter("numerator", "denominator")
-
-
 def require_printable(*values: LaurentPoly | Scalar | None) -> None:
     """Raise DiagramTooLarge when a value has an integer (a coefficient's,
     or a rational's numerator or denominator) with more digits than
-    int-to-text conversion allows (print_limit), counting the largest
-    one's digits by digit_estimate.  None values are skipped."""
+    int-to-text conversion allows (print_limit).  One pass takes the
+    largest bit length b: digit_estimate is above the limit exactly when
+    b * log10(2), rounded down, reaches it, and it counts the digits only
+    for the message.  None values are skipped."""
     limit = print_limit()
-    numbers = chain.from_iterable(
-        v.terms.values() if isinstance(v, LaurentPoly) else (v,)
-        for v in values if v is not None)
-    top = max(map(abs, chain.from_iterable(map(_RATIO_PARTS, numbers))), default=0)
-    digits = digit_estimate(top)
-    if limit and digits > limit:
+    bits = 0
+    for v in filter(None, values):  # drops None and zeros, which have no bits
+        for x in v.terms.values() if isinstance(v, LaurentPoly) else (v,):
+            b = x.bit_length() if type(x) is int else max(
+                x.numerator.bit_length(), x.denominator.bit_length())
+            if b > bits:
+                bits = b
+    if limit and bits * 30103 // 100000 >= limit:  # digit_estimate's log10(2)
+        digits = digit_estimate(1 << bits - 1)  # an integer of `bits` bits
         raise DiagramTooLarge(
             f"a result has an integer of about {digits} digits, "
             f"over the {limit}-digit limit for printing integers"

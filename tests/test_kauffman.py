@@ -5,11 +5,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from knotobstruct import kauffman
 from knotobstruct.diagram import PretzelParams, mirror, parse_pd, pretzel_pd
 from knotobstruct.errors import DiagramTooLarge, NormalizationError
 from knotobstruct.kauffman import (
     CONTRACT_WORK_CAP,
     DELTA,
+    _W0,
+    _W1,
+    _W3,
     _catalan,
     _divide_by_one_plus_a4_cubed,
     bracket_brute,
@@ -25,7 +29,7 @@ from test_cli import braid_closure_pd
 from test_moves import fingered, moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
-CUBE = LaurentPoly({0: 1, 4: 3, 8: 3, 12: 1})  # (1 + A^4)^3
+F = LaurentPoly({0: 1, 4: 1})  # 1 + A^4
 FIG8 = parse_pd("X(4,2,5,1); X(8,6,1,5); X(6,3,7,4); X(2,7,3,8)")
 #: the four one-crossing curls
 KINKS = [parse_pd(t) for t in ("X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,1,2)", "X(2,2,1,1)")]
@@ -135,38 +139,126 @@ class TestContractionOrder:
 
 
 class TestTwistTangle:
-    # twist_tangle gives (1 + A^4) times the coordinates (alpha, beta)
-    ONE_PLUS_A4 = LaurentPoly({0: 1, 4: 1})
+    # twist_tangle gives the monomials (u, v); the tangle's coordinates
+    # are alpha = u and beta = A^2 (u + v) / (1 + A^4)
+    A2 = LaurentPoly({2: 1})
 
     def test_base_case(self):
-        assert twist_tangle(0) == (self.ONE_PLUS_A4, LaurentPoly())
+        # alpha_0 = 1 and beta_0 = 0: v = -u
+        assert twist_tangle(0) == (LaurentPoly.one(), LaurentPoly({0: -1}))
 
     def test_single_crossing(self):
-        alpha, beta = twist_tangle(1)
-        assert alpha == self.ONE_PLUS_A4 * LaurentPoly({-1: 1})
-        assert beta == self.ONE_PLUS_A4 * LaurentPoly({1: 1})
+        u, v = twist_tangle(1)
+        assert u == LaurentPoly({-1: 1})
+        assert self.A2 * (u + v) == F * LaurentPoly({1: 1})  # beta_1 = A
 
     def test_inverse_cancels(self):
         t = twist_tangle(3)
         # undoing three positive twists restores the 0-tangle
         assert t != twist_tangle(0)
-        assert twist_tangle(-3)[0] * t[0] == self.ONE_PLUS_A4 ** 2
+        assert twist_tangle(-3)[0] * t[0] == twist_tangle(0)[0]
+        assert twist_tangle(-3)[1] * t[1] == -twist_tangle(0)[1]
 
     def test_skein_step(self):
         # one positive half-twist: (alpha, beta) ->
-        # (A^-1 alpha, A alpha + (A^-1 + A delta) beta), linear, so it
-        # steps the cleared coordinates alike
+        # (A^-1 alpha, A alpha + (A^-1 + A delta) beta); on beta's cleared
+        # form A^2 (u + v) the step reads alike, with alpha's (1 + A^4)
         a, a_inv = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
         for n in range(-40, 41):
-            alpha, beta = twist_tangle(n)
-            stepped = (a_inv * alpha, a * alpha + (a_inv + a * DELTA) * beta)
-            assert stepped == twist_tangle(n + 1), n
+            u, v = twist_tangle(n)
+            u1, v1 = twist_tangle(n + 1)
+            assert u1 == a_inv * u, n
+            assert self.A2 * (u1 + v1) == (
+                a * F * u + (a_inv + a * DELTA) * self.A2 * (u + v)), n
 
     @pytest.mark.parametrize("n", [249_999, -249_999])
     def test_two_int_terms_at_the_cap(self, n):
         for coef in twist_tangle(n):
-            assert len(coef.terms) <= 2
+            assert len(coef.terms) == 1
             assert all(type(c) is int for c in coef.terms.values())
+
+
+#: loops of the pretzel closure with 0, 1, 2 and 3 horizontal smoothings
+CLOSURE_LOOPS = (3, 2, 1, 2)
+
+
+def cleared_tangle(n):
+    """(1 + A^4) times the coordinates (alpha_n, beta_n), each of two terms
+    (beta_0's two A^2 terms cancel)."""
+    return (LaurentPoly({-n: 1, 4 - n: 1}),
+            LaurentPoly({2 - n: 1, 2 + 3 * n: 1 if n % 2 else -1} if n else {}))
+
+
+def eight_mask_numerator(params):
+    """(1 + A^4)^3 <P(p,q,r)>: over the 8 smoothing masks (bit i set: tangle
+    i smoothed horizontally), the product of the cleared coordinates times
+    delta^(loops - 1)."""
+    tangles = [cleared_tangle(v) for v in params.as_tuple()]
+    total = LaurentPoly()
+    for mask in range(8):
+        term = DELTA ** (CLOSURE_LOOPS[mask.bit_count()] - 1)
+        for i, coords in enumerate(tangles):
+            term = term * coords[mask >> i & 1]
+        total = total + term
+    return total
+
+
+def closure_weight(k):
+    """The 8-mask closure's coefficient of a monomial with v from the first
+    k tangles and u from the rest: the cleared coordinates are u F and
+    A^2 (u + v), so every mask that smooths those k tangles horizontally
+    adds F^(3 - h) A^(2h) delta^(loops - 1), h its horizontal count."""
+    total = LaurentPoly()
+    for mask in range(8):
+        if mask & (1 << k) - 1 == (1 << k) - 1:
+            h = mask.bit_count()
+            total = total + (F ** (3 - h) * LaurentPoly({2 * h: 1})
+                             * DELTA ** (CLOSURE_LOOPS[h] - 1))
+    return total
+
+
+def jones_from_bracket(bracket, w):
+    """V = (-A^3)^(-w) <D> under t = A^-4."""
+    return LaurentPoly({(3 * w - e) // 4: (-1) ** w * c for e, c in bracket.terms.items()})
+
+
+class TestClosedForm:
+    def test_weights_from_delta(self):
+        a4 = LaurentPoly({4: 1})
+        w0, w1, w2, w3 = (closure_weight(k) for k in range(4))
+        assert w2 == LaurentPoly()  # the terms with two v's cancel
+        assert w0 == LaurentPoly({-4: 1}) * F ** 5 - 3 * F ** 3 + 2 * a4 * F
+        assert -w1 == F * LaurentPoly({0: 1, 4: 1, 8: 1})
+        assert -w3 == a4 * F
+        assert (LaurentPoly(dict(_W0)), _W1, LaurentPoly(dict(_W3))) == (w0, -w1, -w3)
+
+    def test_matches_eight_mask_closure(self):
+        # all 4096 odd triples in [-15, 15]^3: the closed form's numerator,
+        # (1 + A^4)^3 times its quotient, against the 8 masks
+        cube = F ** 3
+        odd = range(-15, 16, 2)
+        for pqr in itertools.product(odd, repeat=3):
+            params = PretzelParams(*pqr)
+            numer = eight_mask_numerator(params)
+            assert len(numer.terms) <= 20
+            assert all((e + sum(pqr)) % 4 == 0 for e in numer.terms)
+            bracket = bracket_twist(params)
+            assert bracket * cube == numer, pqr
+            assert jones(params) == jones_from_bracket(bracket, sum(pqr)), pqr
+
+    @given(st.tuples(*[st.integers(-100, 100).map(lambda v: 2 * v + 1)] * 3))
+    def test_mirror_inverts_variable(self, pqr):
+        p, q, r = pqr
+        assert jones(PretzelParams(-p, -q, -r)) == jones(
+            PretzelParams(p, q, r)).substitute_power(-1)
+
+    def test_exponent_outside_the_class_raises(self, monkeypatch):
+        # a v one power of A off puts the closure out of its class mod 4
+        monkeypatch.setattr(kauffman, "twist_tangle", lambda n: (
+            LaurentPoly({-n: 1}), LaurentPoly({3 * n + 1: 1 if n % 2 else -1})))
+        for compute in (bracket_twist, jones):
+            with pytest.raises(NormalizationError, match="class"):
+                compute(PretzelParams(3, 5, -3))
 
 
 class TestBracketTwist:
@@ -204,56 +296,59 @@ class TestBracketTwist:
                 assert bracket_twist(params) == bracket_brute(pretzel_pd(params)), params
 
 
-def synthetic_division(poly: LaurentPoly) -> LaurentPoly:
-    """The step-by-step quotient poly / (1 + A^4)^3: per exponent class mod
-    4 and per factor, q_i = p_i - q_(i-1) from the bottom up, and the top
-    entry left over is the remainder."""
-    terms = poly.terms
-    out = {}
-    for r in {e % 4 for e in terms}:
-        exps = [e for e in terms if e % 4 == r]
-        lo = min(exps)
-        q = [terms.get(e, 0) for e in range(lo, max(exps) + 1, 4)]
-        for _ in range(3):
-            for i in range(1, len(q)):
-                q[i] -= q[i - 1]
-            if q.pop():
-                raise NormalizationError("remainder")
-        out.update((lo + 4 * i, c) for i, c in enumerate(q) if c)
-    return LaurentPoly(out)
+def times_cube(q):
+    """The coefficients of (1 + x)^3 q(x), dense lists from the constant term."""
+    p = [0] * (len(q) + 3)
+    for i, c in enumerate(q):
+        for j, b in enumerate((1, 3, 3, 1)):
+            p[i + j] += b * c
+    return p
 
 
-#: polynomials over several exponent classes and negative exponents
-SPREAD = st.dictionaries(st.integers(-60, 60), st.integers(-99, 99), max_size=12
-                         ).map(LaurentPoly)
+def synthetic_division(p):
+    """The step-by-step quotient p / (1 + x)^3: per factor,
+    q_i = p_i - q_(i-1) from the bottom up, and the top entry left over is
+    the remainder."""
+    q = list(p)
+    for _ in range(3):
+        for i in range(1, len(q)):
+            q[i] -= q[i - 1]
+        if q.pop():
+            raise NormalizationError("remainder")
+    return q
+
+
+COEFFS = st.lists(st.integers(-99, 99), max_size=30)
 
 
 class TestDivideByOnePlusA4Cubed:
-    @given(st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=8))
-    def test_exact_quotient(self, terms):
-        p = LaurentPoly(terms)
-        assert _divide_by_one_plus_a4_cubed(p * CUBE) == p
+    @given(COEFFS)
+    def test_exact_quotient(self, q):
+        p = times_cube(q)
+        assert _divide_by_one_plus_a4_cubed(p) == q
+        assert p == times_cube(q)  # the input list is left as it was
 
-    @given(SPREAD)
-    def test_matches_synthetic_division_on_multiples(self, p):
-        assert _divide_by_one_plus_a4_cubed(p * CUBE) == synthetic_division(p * CUBE) == p
+    @given(COEFFS)
+    def test_matches_synthetic_division_on_multiples(self, q):
+        p = times_cube(q)
+        assert _divide_by_one_plus_a4_cubed(p) == synthetic_division(p) == q
 
-    @given(SPREAD, st.integers(-60, 60),
-           st.dictionaries(st.integers(0, 11), st.integers(-9, 9).filter(bool),
-                           min_size=1, max_size=6))
-    def test_non_multiples_raise(self, p, shift, rest):
-        # rest has degree at most 2 in A^4 in every class, so is no multiple
-        poly = p * CUBE + LaurentPoly({e + shift: c for e, c in rest.items()})
+    @given(COEFFS, st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any))
+    def test_non_multiples_raise(self, q, rest):
+        # rest is nonzero of degree at most 2, so no multiple of (1 + x)^3
+        poly = times_cube(q)
+        for i, c in enumerate(rest):
+            poly[i] += c
         for divide in (synthetic_division, _divide_by_one_plus_a4_cubed):
             with pytest.raises(NormalizationError):
                 divide(poly)
 
     @pytest.mark.parametrize("poly", [
-        LaurentPoly.one(),
-        LaurentPoly({0: 1, 4: 2, 8: 1}),     # (1 + A^4)^2
-        CUBE + LaurentPoly({16: 1}),
-        CUBE + LaurentPoly({1: 1}),          # one exponent class divides
-        CUBE * LaurentPoly({0: 1, 4: 1, 5: 1}) + LaurentPoly({5: 1}),
+        [1],
+        [1, 2, 1],           # (1 + x)^2
+        [1, 3, 3, 1, 1],     # (1 + x)^3 + x^4
+        [1, 3, 3, 2],        # (1 + x)^3 + x^3
+        [1, 5, 6, 4, 1],     # (1 + x)^4 + x
     ])
     def test_remainder_raises(self, poly):
         with pytest.raises(NormalizationError):
