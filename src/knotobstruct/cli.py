@@ -15,7 +15,7 @@ import click
 from .diagram import PretzelParams, parse_pd
 from .errors import (DiagramTooLarge, InputSyntaxError, KnotObstructError,
                      PreconditionViolation)
-from .kauffman import PRETZEL_TOTAL_CAP, jones
+from .kauffman import PRETZEL_TOTAL_CAP
 from .laurent import LaurentPoly, parse_laurent
 from .obstruction import (
     ObstructionReport,
@@ -179,8 +179,9 @@ def pretzel_scan(k_min, k_max, jones_upto, as_json):
         )
     ks = range(k_min, k_max + 1)
     family = {k: pretzel_family(k) for k in ks}
-    # each Jones row costs O(|p| + |q| + |r|), so their sum takes the
-    # twist route's cap
+    # each Jones row reads Ob off the twist route's numerator in the same
+    # few integer sums at any k; the rows' |p| + |q| + |r| still sum under
+    # the twist route's cap, a fixed limit
     total = sum(sum(map(abs, family[k][0].as_tuple())) for k in ks if k <= jones_upto)
     if total > PRETZEL_TOTAL_CAP:
         raise DiagramTooLarge(
@@ -199,7 +200,7 @@ def pretzel_scan(k_min, k_max, jones_upto, as_json):
             "verdict_mod16": predicted,
         }
         if k <= jones_upto:
-            _, _, ob_jones = obstruction_value(jones(params))
+            _, _, ob_jones = obstruction_value(params)
             row["ob_jones_route"] = str(ob_jones)
             row["routes_agree"] = ob_jones == ob
         rows.append(row)

@@ -16,7 +16,10 @@ Three engines, all in the bracket variable A:
   takes O(|p| + |q| + |r|) steps, capped at PRETZEL_TOTAL_CAP.
 The Jones polynomial comes from the writhe-corrected bracket under
 t = A^-4; for pretzels it is read straight off the twist route's
-quotient, with no bracket polynomial built in between.
+quotient, with no bracket polynomial built in between.  The four values
+the obstruction reads, V''(1), V'''(1), V(-1) and V'(-1), come for
+pretzels straight from the 20-term numerator (twist_jones_values), with
+no division and no V: a fixed number of integer sums at any p, q, r.
 """
 
 from __future__ import annotations
@@ -274,9 +277,9 @@ _W1 = LaurentPoly({0: 1, 4: 2, 8: 2, 12: 1})
 _W3 = ((4, 1), (8, 1))
 
 
-def _twist_bracket(params: PretzelParams) -> tuple[int, list[int]]:
-    """<P(p,q,r)> as the exponent lo of its lowest term and its
-    coefficients at A^lo, A^(lo + 4), ...; see bracket_twist."""
+def _twist_numerator(params: PretzelParams) -> list[tuple[int, int]]:
+    """(1 + A^4)^3 <P(p,q,r)> as at most 20 (exponent, coefficient) pairs,
+    every exponent in the class -(p + q + r) mod 4; see bracket_twist."""
     pqr = params.as_tuple()
     total = sum(map(abs, pqr))
     if total > PRETZEL_TOTAL_CAP:
@@ -297,11 +300,66 @@ def _twist_bracket(params: PretzelParams) -> tuple[int, list[int]]:
     s = sum(pqr)
     if any((e + s) % 4 for e, _ in numer):
         raise NormalizationError(f"closure exponent outside the class -{s} mod 4")
+    return numer
+
+
+def _twist_bracket(params: PretzelParams) -> tuple[int, list[int]]:
+    """<P(p,q,r)> as the exponent lo of its lowest term and its
+    coefficients at A^lo, A^(lo + 4), ...; see bracket_twist."""
+    numer = _twist_numerator(params)
     lo = min(numer)[0]
     dense = [0] * ((max(numer)[0] - lo) // 4 + 1)
     for e, c in numer:
         dense[(e - lo) // 4] += c
     return lo, _divide_by_one_plus_a4_cubed(dense)
+
+
+def _exact_quotient(n: int, d: int) -> int:
+    """n / d, raising NormalizationError unless d divides n."""
+    q, rem = divmod(n, d)
+    if rem:
+        raise NormalizationError(f"{n} is not divisible by {d}")
+    return q
+
+
+def twist_jones_values(params: PretzelParams) -> tuple[int, int, int, int]:
+    """(V''(1), V'''(1), V(-1), V'(-1)) of P(p,q,r) read off the twist
+    route's numerator N = (1 + A^4)^3 <P>, with no V built: a fixed number
+    of integer sums over its at most 20 terms, whatever p, q and r are.
+
+    Under t = A^-4 the writhe-corrected numerator is R = (1 + t)^3 V, the
+    terms (-1)^w c t^(3 + (3w - e)/4) of N's c A^e, w = p + q + r.  At
+    t = -1, R = sum_k R^(k)(-1) (1 + t)^k / k!, so (1 + t)^3 divides R
+    exactly when R, R' and R'' vanish there, and then V(-1) = R'''(-1)/6
+    and V'(-1) = R''''(-1)/24.  At t = 1, V = R g with g = (1 + t)^-3,
+    whose derivatives there are 2, -3, 6 and -15 over 16, so by Leibniz
+    16 V''(1) = 6 R - 6 R' + 2 R'' and 16 V'''(1) = -15 R + 18 R' - 9 R''
+    + 2 R''', all at 1.  Raises what _twist_numerator raises, and
+    NormalizationError when (1 + t)^3 does not divide R or a division
+    leaves a remainder.
+    """
+    w = sum(params.as_tuple())
+    sign = -1 if w % 2 else 1
+    # over R's terms c0 t^k, with c_j = c0 k(k-1)...(k-j+1): p_j sums c_j,
+    # which is R^(j)(1), and n_j sums c_j (-1)^(k-j), which is R^(j)(-1)
+    p0 = p1 = p2 = p3 = n0 = n1 = n2 = n3 = n4 = 0
+    for e, c in _twist_numerator(params):
+        k = 3 + (3 * w - e) // 4
+        c0 = sign * c
+        c1 = c0 * k
+        c2 = c1 * (k - 1)
+        c3 = c2 * (k - 2)
+        c4 = c3 * (k - 3)
+        p0, p1, p2, p3 = p0 + c0, p1 + c1, p2 + c2, p3 + c3
+        if k % 2:
+            n0, n1, n2, n3, n4 = n0 - c0, n1 + c1, n2 - c2, n3 + c3, n4 - c4
+        else:
+            n0, n1, n2, n3, n4 = n0 + c0, n1 - c1, n2 + c2, n3 - c3, n4 + c4
+    if n0 or n1 or n2:
+        raise NormalizationError("bracket sum not divisible by (1 + A^4)^3")
+    return (_exact_quotient(6 * p0 - 6 * p1 + 2 * p2, 16),
+            _exact_quotient(-15 * p0 + 18 * p1 - 9 * p2 + 2 * p3, 16),
+            _exact_quotient(n3, 6), _exact_quotient(n4, 24))
 
 
 def bracket_twist(params: PretzelParams) -> LaurentPoly:

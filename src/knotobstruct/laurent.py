@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -36,8 +37,10 @@ class LaurentPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Scalar]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[int, Scalar]:
+        """The {exponent: coefficient} map as a read-only view: no copy,
+        and nothing can write a zero coefficient through it."""
+        return MappingProxyType(self._terms)
 
     def max_exp(self) -> int:
         return max(self._terms)

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .diagram import PDCode, PretzelParams
 from .errors import (DiagramTooLarge, InconsistentInput, PreconditionViolation,
                      digit_estimate, print_limit)
-from .kauffman import jones
+from .kauffman import jones, twist_jones_values
 from .laurent import LaurentPoly, Scalar
 from .seifert import (
     GenusOneSpine,
@@ -43,11 +43,15 @@ _LAMBDA_NOTE = (
 
 
 def jones_values(
-    jones_poly: LaurentPoly,
+    jones_poly: LaurentPoly | PretzelParams,
 ) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """(V''(1), V'''(1), V(-1), V'(-1)) in one pass over the terms c t^e,
     as the sums of c e(e-1), c e(e-1)(e-2), c (-1)^e and c e (-1)^(e-1):
-    all that w3, Theta(-1), lambda_w and |V(-1)| read."""
+    all that w3, Theta(-1), lambda_w and |V(-1)| read.  Pretzel parameters
+    take theirs off the twist route's numerator, with no V built
+    (twist_jones_values)."""
+    if isinstance(jones_poly, PretzelParams):
+        return twist_jones_values(jones_poly)
     v2 = v3 = vm1 = dvm1 = 0
     for e, c in jones_poly.terms.items():
         falling = c * e * (e - 1)
@@ -62,7 +66,7 @@ def jones_values(
     return v2, v3, vm1, dvm1
 
 
-def w3(jones_poly: LaurentPoly) -> Fraction:
+def w3(jones_poly: LaurentPoly | PretzelParams) -> Fraction:
     """(1/36) V'''(1) + (1/12) V''(1), the degree-3 finite type invariant."""
     return _thetas(*jones_values(jones_poly))[0]
 
@@ -97,7 +101,7 @@ def _thetas(
             Fraction(-3 * p - 2 * w, 36))
 
 
-def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
+def mullins_lambda_w(jones_poly: LaurentPoly | PretzelParams, sigma: int) -> Fraction:
     """Casson-Walker invariant of the double branched cover
     (Mullins): -V'(-1)/(6 V(-1)) + sigma/4."""
     _, _, vm1, dvm1 = jones_values(jones_poly)
@@ -105,10 +109,11 @@ def mullins_lambda_w(jones_poly: LaurentPoly, sigma: int) -> Fraction:
 
 
 def obstruction_value(
-    jones_poly: LaurentPoly,
+    jones_poly: LaurentPoly | PretzelParams,
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone:
-    Theta(1) = 2 w3 and Theta(-1) = -(1/12) V'(-1) V(-1)."""
+    """(Theta(1), Theta(-1), Ob) from the Jones polynomial alone (or a
+    pretzel's, as jones_values reads it): Theta(1) = 2 w3 and
+    Theta(-1) = -(1/12) V'(-1) V(-1)."""
     return _thetas(*jones_values(jones_poly))[1:]
 
 
@@ -213,9 +218,9 @@ def cosmetic_verdict(
     polynomial is the one the Seifert matrix keeps, and the determinant
     is its |Delta(-1)|.  Genus one is the caller's assertion;
     a Delta of degree over 1 refutes it and raises PreconditionViolation.
-    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.  Before each of
-    these checks, require_printable raises DiagramTooLarge when a number
-    that it or the report prints has too many digits to print.
+    A |V(-1)| != |Delta(-1)| pair raises InconsistentInput.  Before any of
+    these checks, one require_printable call raises DiagramTooLarge when a
+    number that a check or the report prints has too many digits to print.
     """
     notes: list[str] = []
 
@@ -248,12 +253,6 @@ def cosmetic_verdict(
     alex = det = sigma = None
     if seifert is not None:
         alex = alexander_from_seifert(seifert)
-        require_printable(alex)  # printed in the degree message below
-        if alex.max_exp() > 1:  # span Delta <= 2 genus
-            raise PreconditionViolation(
-                f"Delta = {alex.render()} has degree {alex.max_exp()}: "
-                "not a genus-one knot"
-            )
         det = knot_determinant(seifert)
         sigma = signature(seifert)
 
@@ -261,11 +260,16 @@ def cosmetic_verdict(
     if jp is not None:
         v2, v3, vm1, dvm1 = jones_values(jp)
         w3v, th1, thm1, ob = _thetas(v2, v3, vm1, dvm1)
-        if sigma is not None:
+        if sigma is not None:  # an integer V with V(1) = 1 has V(-1) odd
             lam = _lambda_w(vm1, dvm1, sigma)
     # each of these is printed: in the report, a note or an error below
-    require_printable(jp, det, vm1, w3v, lam, th1, thm1, ob)
+    require_printable(alex, jp, det, vm1, w3v, lam, th1, thm1, ob)
 
+    if alex is not None and alex.max_exp() > 1:  # span Delta <= 2 genus
+        raise PreconditionViolation(
+            f"Delta = {alex.render()} has degree {alex.max_exp()}: "
+            "not a genus-one knot"
+        )
     mod16 = None
     if jp is not None:
         if w3v.denominator != 1:

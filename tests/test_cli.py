@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from knotobstruct import cli, selftest
+from knotobstruct import cli, kauffman, obstruction, selftest
 from knotobstruct.cli import main
 from knotobstruct.diagram import PDCode, PretzelParams, parse_pd, pretzel_pd, render_pd
 from knotobstruct.errors import DiagramTooLarge
@@ -12,7 +12,8 @@ from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
                                    PRETZEL_TOTAL_CAP, bracket_contract,
                                    contraction_order, jones)
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.obstruction import json_text, pretzel_family
+from knotobstruct.obstruction import json_text, obstruction_value, pretzel_family
+from knotobstruct.seifert import pretzel_alexander_coeff
 from test_obstruction import needs_digit_limit
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
@@ -447,6 +448,37 @@ class TestPretzelScan:
         rows = json.loads(result.output)
         assert rows[0]["routes_agree"] is True
         assert rows[0]["ob_jones_route"] == rows[0]["ob_closed_form"] == "-8"
+
+    def test_jones_rows_match_the_built_polynomial(self):
+        # the scan reads Ob off the twist route's numerator; here every row
+        # is rebuilt from V itself
+        result = invoke("pretzel-scan", "--k-max", "60", "--jones-upto", "60", "--json")
+        assert result.exit_code == 0
+        expected = []
+        for k in range(1, 61):
+            params, ob, predicted = pretzel_family(k)
+            ob_jones = obstruction_value(jones(params))[2]
+            expected.append({
+                "k": k, "p": params.p, "q": params.q, "r": params.r,
+                "alexander_trivial": pretzel_alexander_coeff(params) == 0,
+                "ob_closed_form": str(ob), "verdict_mod16": predicted,
+                "ob_jones_route": str(ob_jones), "routes_agree": ob_jones == ob,
+            })
+        assert json.loads(result.output) == expected
+
+    def test_scan_builds_no_jones_polynomial(self, monkeypatch):
+        # neither V nor the dense division by (1 + A^4)^3 is reached: the
+        # scan must not go back to expanding V
+        def refuse(*args):
+            raise AssertionError("the scan expanded a Jones polynomial")
+
+        for module in (kauffman, obstruction):
+            monkeypatch.setattr(module, "jones", refuse)
+        monkeypatch.setattr(kauffman, "_divide_by_one_plus_a4_cubed", refuse)
+        result = invoke("pretzel-scan", "--k-max", "8", "--jones-upto", "8", "--json")
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)
+        assert len(rows) == 8 and all(row["routes_agree"] for row in rows)
 
     def test_text_output(self):
         result = invoke("pretzel-scan", "--k-max", "2")

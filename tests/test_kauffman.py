@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,14 +17,17 @@ from knotobstruct.kauffman import (
     _W3,
     _catalan,
     _divide_by_one_plus_a4_cubed,
+    _exact_quotient,
     bracket_brute,
     bracket_contract,
     bracket_twist,
     contraction_order,
     jones,
+    twist_jones_values,
     twist_tangle,
 )
 from knotobstruct.laurent import LaurentPoly
+from knotobstruct.obstruction import jones_values
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
 from test_cli import braid_closure_pd
 from test_moves import fingered, moved
@@ -245,6 +249,7 @@ class TestClosedForm:
             bracket = bracket_twist(params)
             assert bracket * cube == numer, pqr
             assert jones(params) == jones_from_bracket(bracket, sum(pqr)), pqr
+            assert jones_values(params) == jones_values(jones(params)), pqr
 
     @given(st.tuples(*[st.integers(-100, 100).map(lambda v: 2 * v + 1)] * 3))
     def test_mirror_inverts_variable(self, pqr):
@@ -256,9 +261,36 @@ class TestClosedForm:
         # a v one power of A off puts the closure out of its class mod 4
         monkeypatch.setattr(kauffman, "twist_tangle", lambda n: (
             LaurentPoly({-n: 1}), LaurentPoly({3 * n + 1: 1 if n % 2 else -1})))
-        for compute in (bracket_twist, jones):
+        for compute in (bracket_twist, jones, jones_values):
             with pytest.raises(NormalizationError, match="class"):
                 compute(PretzelParams(3, 5, -3))
+
+    def test_numerator_off_the_cube_raises(self, monkeypatch):
+        # a W3 one unit off adds a lone monomial to (1 + A^4)^3 <P>, which
+        # (1 + A^4)^3 then no longer divides: the dense quotient and the
+        # numerator reader both stop
+        monkeypatch.setattr(kauffman, "_W3", ((4, 1), (8, 2)))
+        for compute in (bracket_twist, jones, jones_values):
+            with pytest.raises(NormalizationError,
+                               match=r"not divisible by \(1 \+ A\^4\)\^3"):
+                compute(PretzelParams(3, 5, -3))
+
+    @pytest.mark.parametrize("d", [6, 24, 16])
+    def test_reader_divisions_are_exact(self, d):
+        assert _exact_quotient(-5 * d, d) == -5
+        for n in (1, -1, d + 1, -d - 1):
+            with pytest.raises(NormalizationError, match=f"not divisible by {d}$"):
+                _exact_quotient(n, d)
+
+    def test_reader_does_not_floor(self, monkeypatch):
+        # the numerator of V = -t/2 at w = 1 passes the divisibility check,
+        # but R'''(-1) = 3 is no multiple of 6: floor division would give
+        # V(-1) = 0
+        half = Fraction(1, 2)
+        monkeypatch.setattr(kauffman, "_twist_numerator", lambda params: [
+            (-1, half), (3, 3 * half), (7, 3 * half), (11, half)])
+        with pytest.raises(NormalizationError, match="not divisible by 6"):
+            twist_jones_values(PretzelParams(1, 1, -1))
 
 
 class TestBracketTwist:

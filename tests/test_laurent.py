@@ -71,6 +71,15 @@ class TestEquality:
         assert (p == LaurentPoly()) == (not any(terms.values()))
         assert not LaurentPoly() and LaurentPoly().terms == {}
 
+    def test_terms_is_a_read_only_view(self):
+        # no copy is made, and no zero coefficient can be written through it
+        p = LaurentPoly({1: 2, -1: 3})
+        with pytest.raises(TypeError):
+            p.terms[0] = 0
+        with pytest.raises(TypeError):
+            del p.terms[1]
+        assert p == LaurentPoly({1: 2, -1: 3}) and p.terms == {1: 2, -1: 3}
+
 
 class TestEvaluate:
     def test_basic(self):

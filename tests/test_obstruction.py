@@ -55,6 +55,20 @@ class TestJonesValues:
         v2, v3, vm1, dvm1 = jones_values(jones(PretzelParams(5, 7, -3)))
         assert all(type(x) is int for x in (v2, v3, vm1, dvm1))
         assert (vm1, dvm1) == (1, -48)
+        assert jones_values(PretzelParams(5, 7, -3)) == (v2, v3, vm1, dvm1)
+
+    @given(st.tuples(*[st.integers(-5000, 4999).map(lambda v: 2 * v + 1)] * 3))
+    def test_pretzel_reader_matches_the_built_polynomial(self, pqr):
+        # odd triples in [-10^4, 10^4]^3 and their mirrors: the values read
+        # off the twist route's numerator against V expanded and summed
+        for params in (PretzelParams(*pqr), PretzelParams(*(-v for v in pqr))):
+            got = jones_values(params)
+            assert got == jones_values(jones(params)), params
+            assert all(type(x) is int for x in got)
+
+    def test_pretzel_reader_near_the_cap(self):
+        params = PretzelParams(99999, 100001, -49999)
+        assert jones_values(params) == jones_values(jones(params))
 
 
 class TestW3:
@@ -65,7 +79,7 @@ class TestW3:
         assert w3(TREFOIL_V) == -1
 
     def test_trivial_family_k1(self):
-        assert w3(jones(PretzelParams(5, 7, -3))) == 6
+        assert w3(jones(PretzelParams(5, 7, -3))) == 6 == w3(PretzelParams(5, 7, -3))
 
 
 class TestMullins:
@@ -77,6 +91,7 @@ class TestMullins:
 
     def test_trivial_family_k1(self):
         assert mullins_lambda_w(jones(PretzelParams(5, 7, -3)), 0) == 8
+        assert mullins_lambda_w(PretzelParams(5, 7, -3), 0) == 8
 
 
 class TestObstructionValue:
@@ -88,6 +103,7 @@ class TestObstructionValue:
 
     def test_trivial_family_k1(self):
         assert obstruction_value(jones(PretzelParams(5, 7, -3))) == (12, 4, -8)
+        assert obstruction_value(PretzelParams(5, 7, -3)) == (12, 4, -8)
 
 
 #: the multi-step Fraction formulas, kept as the oracle for the closed forms
