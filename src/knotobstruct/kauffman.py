@@ -15,8 +15,9 @@ Three engines, all in the bracket variable A:
   terms, and three running sums divide (1 + A^4)^3 out, so the route
   takes O(|p| + |q| + |r|) steps, capped at PRETZEL_TOTAL_CAP.
 The Jones polynomial comes from the writhe-corrected bracket under
-t = A^-4; for pretzels it is read straight off the twist route's
-quotient, with no bracket polynomial built in between.  The four values
+t = A^-4, by one path for both inputs: jones picks bracket_twist and
+p + q + r for pretzels, bracket_contract and the writhe for PD codes,
+and corrects whichever bracket it gets the same way.  The four values
 the obstruction reads, V''(1), V'''(1), V(-1) and V'(-1), come for
 pretzels straight from the 20-term numerator (twist_jones_values), with
 no division and no V: a fixed number of integer sums at any p, q, r.
@@ -50,7 +51,7 @@ CONTRACT_WIDTH_CAP = 14
 CONTRACT_WORK_CAP = 3_500_000
 
 #: largest |p| + |q| + |r| the twist route accepts; at a total of 249,999
-#: a whole cosmetic_verdict took 0.14-0.16 s and obstruct --json 0.24-0.33 s
+#: a whole cosmetic_verdict took 0.23-0.35 s and obstruct --json 0.32-0.50 s
 #: on a 2-core x86-64 VM (Python 3.11.7)
 PRETZEL_TOTAL_CAP = 250_000
 
@@ -233,9 +234,10 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     return LaurentPoly(states[()])
 
 
-def twist_tangle(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The monomials (u, v) = (A^-n, -(-1)^n A^3n) of the vertical 2-tangle
-    with n half-twists: its bracket coordinates in the basis {0-tangle,
+def twist_tangle(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The monomials u = A^-n and v = -(-1)^n A^3n of the vertical 2-tangle
+    with n half-twists, as (exponent, coefficient) pairs ((-n, 1), (3n,
+    -(-1)^n)): its bracket coordinates in the basis {0-tangle,
     infinity-tangle} are alpha_n = u and beta_n = A^2 (u + v) / (1 + A^4).
 
     By the skein relation one positive half-twist maps (alpha, beta) to
@@ -245,7 +247,7 @@ def twist_tangle(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     monomials for every signed n: beta_n is the geometric sum
     sum_{j<n} (-1)^j A^(4j+2-n), zero at n = 0, where v = -u.
     """
-    return LaurentPoly({-n: 1}), LaurentPoly({3 * n: 1 if n % 2 else -1})
+    return (-n, 1), (3 * n, 1 if n % 2 else -1)
 
 
 def _divide_by_one_plus_a4_cubed(p: list[int]) -> list[int]:
@@ -287,8 +289,8 @@ def _twist_numerator(params: PretzelParams) -> list[tuple[int, int]]:
             f"|p| + |q| + |r| = {total} exceeds the pretzel cap {PRETZEL_TOTAL_CAP}"
         )
     # (e_i, a_i) and (f_i, b_i): the terms of tangle i's u and v
-    (e1, a1), (f1, b1), (e2, a2), (f2, b2), (e3, a3), (f3, b3) = (
-        next(iter(x.terms.items())) for n in pqr for x in twist_tangle(n))
+    ((e1, a1), (f1, b1)), ((e2, a2), (f2, b2)), ((e3, a3), (f3, b3)) = map(
+        twist_tangle, pqr)
     mixed: dict[int, int] = {}  # two of these meet when two entries are equal
     for e, c in ((f1 + e2 + e3, b1 * a2 * a3), (e1 + f2 + e3, a1 * b2 * a3),
                  (e1 + e2 + f3, a1 * a2 * b3)):
@@ -301,17 +303,6 @@ def _twist_numerator(params: PretzelParams) -> list[tuple[int, int]]:
     if any((e + s) % 4 for e, _ in numer):
         raise NormalizationError(f"closure exponent outside the class -{s} mod 4")
     return numer
-
-
-def _twist_bracket(params: PretzelParams) -> tuple[int, list[int]]:
-    """<P(p,q,r)> as the exponent lo of its lowest term and its
-    coefficients at A^lo, A^(lo + 4), ...; see bracket_twist."""
-    numer = _twist_numerator(params)
-    lo = min(numer)[0]
-    dense = [0] * ((max(numer)[0] - lo) // 4 + 1)
-    for e, c in numer:
-        dense[(e - lo) // 4] += c
-    return lo, _divide_by_one_plus_a4_cubed(dense)
 
 
 def _exact_quotient(n: int, d: int) -> int:
@@ -371,38 +362,40 @@ def bracket_twist(params: PretzelParams) -> LaurentPoly:
     F = 1 + A^4, its 8 smoothings sum to
       F^3 <D> = W0 u1 u2 u3 - W1 (v1 u2 u3 + u1 v2 u3 + u1 u2 v3) - W3 v1 v2 v3
     (the weights _W0, _W1 and _W3; the terms with two v's cancel): at most
-    20 terms, all in the exponent class -(p + q + r) mod 4, whose dense
-    list loses F^3 to three running sums, O(|p| + |q| + |r|) steps.
-    Raises DiagramTooLarge when |p| + |q| + |r| exceeds PRETZEL_TOTAL_CAP,
-    and NormalizationError when a term falls outside the class or the
-    division leaves a remainder.
+    20 terms, all in the exponent class -(p + q + r) mod 4.  Laid out as
+    a dense list at A^lo, A^(lo + 4), ..., it loses F^3 to three running
+    sums, O(|p| + |q| + |r|) steps.  Raises DiagramTooLarge when
+    |p| + |q| + |r| exceeds PRETZEL_TOTAL_CAP, and NormalizationError when
+    a term falls outside the class or the division leaves a remainder.
     """
-    lo, q = _twist_bracket(params)
+    numer = _twist_numerator(params)
+    lo = min(numer)[0]
+    dense = [0] * ((max(numer)[0] - lo) // 4 + 1)
+    for e, c in numer:
+        dense[(e - lo) // 4] += c
+    q = _divide_by_one_plus_a4_cubed(dense)
     return LaurentPoly(dict(zip(range(lo, lo + 4 * len(q), 4), q)))
 
 
 def jones(diagram: PDCode | PretzelParams) -> LaurentPoly:
     """Jones polynomial V(t) = (-A^3)^(-w) <D> under t = A^-4.
 
-    Pretzel parameters use the closed-form twist route and PD codes
-    bracket_contract.  The writhe of P(p,q,r) is p + q + r: with all three
-    entries odd, the two strands of every twist region run antiparallel,
-    so each of its |v| crossings has the sign of v (P(1,1,1) is the
-    writhe +3 trefoil).  No PD code is built for pretzels, which keeps
-    this route independent of the pretzel_pd generator the PD engines
-    are checked on, and V is read straight off its quotient.  Raises
-    NormalizationError if a writhe-corrected bracket exponent is not
-    divisible by 4 (a convention tripwire).
+    Pretzel parameters take the twist route (bracket_twist) with writhe
+    p + q + r: with all three entries odd, the two strands of every twist
+    region run antiparallel, so each of its |v| crossings has the sign of
+    v (P(1,1,1) is the writhe +3 trefoil).  No PD code is built for
+    pretzels, which keeps this route independent of the pretzel_pd
+    generator the PD engines are checked on.  PD codes take
+    bracket_contract and their writhe.  Both brackets go through the one
+    writhe correction below, which raises NormalizationError if a
+    corrected exponent is not divisible by 4 (a convention tripwire).
     """
     if isinstance(diagram, PretzelParams):
-        w = sum(diagram.as_tuple())
-        lo, q = _twist_bracket(diagram)
-        top = (3 * w - lo) // 4  # the exponent of t at A^lo
-        return LaurentPoly(dict(zip(range(top, top - len(q), -1),
-                                    map(neg, q) if w % 2 else q)))
-    w = writhe(diagram)
+        w, bracket = sum(diagram.as_tuple()), bracket_twist(diagram)
+    else:
+        w, bracket = writhe(diagram), bracket_contract(diagram)
     shift = 3 * w
-    terms = bracket_contract(diagram).terms
+    terms = bracket.terms
     bad = [e - shift for e in terms if (e - shift) % 4]
     if bad:
         raise NormalizationError(

@@ -74,17 +74,6 @@ def framing_difference(
     return reduced_two_loop(s, ti) - reduced_two_loop(crossing_change(s, sign), ti)
 
 
-def framing_difference_closed_form(
-    s: GenusOneSpine, ti: TangleInvariants, sign: int
-) -> LaurentPoly:
-    """Independent closed form of framing_difference, for cross-checking."""
-    if s.m != 0:
-        raise PreconditionViolation("framing_difference requires m = 0")
-    d = s.d
-    inner = _g_poly(d) * d - alexander_genus_one(s) * (4 * ti.v2yy)
-    return inner * -sign
-
-
 def _constraint_residuals(d, v) -> tuple[Fraction, Fraction]:
     """Left-hand sides, at (d, v2yy) = (d, v), of the two coefficient
     equations of the framing-difference polynomial,

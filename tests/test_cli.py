@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from knotobstruct import cli, kauffman, obstruction, selftest
 from knotobstruct.cli import main
-from knotobstruct.diagram import PDCode, PretzelParams, parse_pd, pretzel_pd, render_pd
+from knotobstruct.diagram import PretzelParams, parse_pd, pretzel_pd, render_pd
 from knotobstruct.errors import DiagramTooLarge
 from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
                                    PRETZEL_TOTAL_CAP, bracket_contract,
@@ -14,7 +14,7 @@ from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import json_text, obstruction_value, pretzel_family
 from knotobstruct.seifert import pretzel_alexander_coeff
-from test_obstruction import needs_digit_limit
+from helpers import braid_closure_pd, needs_digit_limit
 
 TREFOIL_PD = "X(1,4,2,5); X(3,6,4,1); X(5,2,6,3)"
 #: trefoil # trefoil, whose Delta = (t - 1 + t^-1)^2 rules out genus one
@@ -31,40 +31,6 @@ LONG_INVALID_2X2 = f"1,{10 ** 4000 - 1};0,1"
 
 def invoke(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
-
-
-def braid_closure_pd(strands, word):
-    """PD code of the closure of a braid word; +i is sigma_i, -i its inverse.
-
-    Strands run downward; a crossing's incoming edges are its top-left and
-    top-right ones, and the over-strand of sigma_i runs top-left to
-    bottom-right.
-    """
-    top = list(range(strands))
-    cur = list(top)
-    raw = []  # (top-left, top-right, bottom-left, bottom-right, positive)
-    for g in word:
-        i = abs(g) - 1
-        bl = strands + 2 * len(raw)
-        br = bl + 1
-        raw.append([cur[i], cur[i + 1], bl, br, g > 0])
-        cur[i], cur[i + 1] = bl, br
-    close = {cur[p]: top[p] for p in range(strands)}
-    for x in raw:
-        x[2:4] = [close.get(e, e) for e in x[2:4]]
-    after = {}  # edge -> next edge along the knot
-    for tl, tr, bl, br, _ in raw:
-        after[tl], after[tr] = br, bl
-    label = {raw[0][0]: 1}
-    e = after[raw[0][0]]
-    while e not in label:
-        label[e] = len(label) + 1
-        e = after[e]
-    quads = []
-    for tl, tr, bl, br, positive in raw:
-        tl, tr, bl, br = label[tl], label[tr], label[bl], label[br]
-        quads.append((tr, tl, bl, br) if positive else (tl, bl, br, tr))
-    return PDCode(tuple(quads))
 
 
 class TestInvariants:

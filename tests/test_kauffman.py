@@ -29,7 +29,7 @@ from knotobstruct.kauffman import (
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import jones_values
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
-from test_cli import braid_closure_pd
+from helpers import braid_closure_pd
 from test_moves import fingered, moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
@@ -142,26 +142,34 @@ class TestContractionOrder:
         assert contraction_order(pd) == greedy_order(pd)
 
 
+def tangle_polys(n):
+    """twist_tangle(n)'s (exponent, coefficient) pairs as the monomials
+    (u, v)."""
+    return tuple(LaurentPoly({e: c}) for e, c in twist_tangle(n))
+
+
 class TestTwistTangle:
-    # twist_tangle gives the monomials (u, v); the tangle's coordinates
-    # are alpha = u and beta = A^2 (u + v) / (1 + A^4)
+    # twist_tangle gives the monomials (u, v) as (exponent, coefficient)
+    # pairs; the tangle's coordinates are alpha = u and
+    # beta = A^2 (u + v) / (1 + A^4)
     A2 = LaurentPoly({2: 1})
 
     def test_base_case(self):
         # alpha_0 = 1 and beta_0 = 0: v = -u
-        assert twist_tangle(0) == (LaurentPoly.one(), LaurentPoly({0: -1}))
+        assert twist_tangle(0) == ((0, 1), (0, -1))
+        assert tangle_polys(0) == (LaurentPoly.one(), LaurentPoly({0: -1}))
 
     def test_single_crossing(self):
-        u, v = twist_tangle(1)
+        u, v = tangle_polys(1)
         assert u == LaurentPoly({-1: 1})
         assert self.A2 * (u + v) == F * LaurentPoly({1: 1})  # beta_1 = A
 
     def test_inverse_cancels(self):
-        t = twist_tangle(3)
+        t = tangle_polys(3)
         # undoing three positive twists restores the 0-tangle
-        assert t != twist_tangle(0)
-        assert twist_tangle(-3)[0] * t[0] == twist_tangle(0)[0]
-        assert twist_tangle(-3)[1] * t[1] == -twist_tangle(0)[1]
+        assert t != tangle_polys(0)
+        assert tangle_polys(-3)[0] * t[0] == tangle_polys(0)[0]
+        assert tangle_polys(-3)[1] * t[1] == -tangle_polys(0)[1]
 
     def test_skein_step(self):
         # one positive half-twist: (alpha, beta) ->
@@ -169,17 +177,17 @@ class TestTwistTangle:
         # form A^2 (u + v) the step reads alike, with alpha's (1 + A^4)
         a, a_inv = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
         for n in range(-40, 41):
-            u, v = twist_tangle(n)
-            u1, v1 = twist_tangle(n + 1)
+            u, v = tangle_polys(n)
+            u1, v1 = tangle_polys(n + 1)
             assert u1 == a_inv * u, n
             assert self.A2 * (u1 + v1) == (
                 a * F * u + (a_inv + a * DELTA) * self.A2 * (u + v)), n
 
     @pytest.mark.parametrize("n", [249_999, -249_999])
     def test_two_int_terms_at_the_cap(self, n):
-        for coef in twist_tangle(n):
-            assert len(coef.terms) == 1
-            assert all(type(c) is int for c in coef.terms.values())
+        # one (exponent, coefficient) pair per monomial, all four ints
+        (eu, cu), (ev, cv) = twist_tangle(n)
+        assert all(type(x) is int for x in (eu, cu, ev, cv))
 
 
 #: loops of the pretzel closure with 0, 1, 2 and 3 horizontal smoothings
@@ -260,7 +268,7 @@ class TestClosedForm:
     def test_exponent_outside_the_class_raises(self, monkeypatch):
         # a v one power of A off puts the closure out of its class mod 4
         monkeypatch.setattr(kauffman, "twist_tangle", lambda n: (
-            LaurentPoly({-n: 1}), LaurentPoly({3 * n + 1: 1 if n % 2 else -1})))
+            (-n, 1), (3 * n + 1, 1 if n % 2 else -1)))
         for compute in (bracket_twist, jones, jones_values):
             with pytest.raises(NormalizationError, match="class"):
                 compute(PretzelParams(3, 5, -3))
@@ -426,3 +434,15 @@ class TestJones:
         for p, q, r in [(1, 1, 1), (-1, -1, -1), (3, 5, -1)]:
             params = PretzelParams(p, q, r)
             assert jones(params) == jones(pretzel_pd(params))
+
+    def test_pretzels_take_the_one_writhe_correction(self, monkeypatch):
+        # jones corrects whatever bracket_twist returns, as it corrects
+        # bracket_contract's: a stand-in bracket comes out as its own V
+        params = PretzelParams(3, 5, -3)  # w = 5, exponents in -5 mod 4
+        fixed = LaurentPoly({-1: -1, 3: 2, 7: 5})
+        monkeypatch.setattr(kauffman, "bracket_twist", lambda p: fixed)
+        assert jones(params) == jones_from_bracket(fixed, 5)
+        assert jones(params) != jones_from_bracket(bracket_twist(params), 5)
+        monkeypatch.setattr(kauffman, "bracket_twist", lambda p: LaurentPoly({2: 1}))
+        with pytest.raises(NormalizationError, match="after writhe correction"):
+            jones(params)

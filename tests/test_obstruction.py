@@ -26,11 +26,7 @@ from knotobstruct.obstruction import (
     w3,
 )
 from knotobstruct.seifert import GenusOneSpine, SeifertMatrix, pretzel_alexander_coeff
-
-#: int-to-text conversion has a digit limit from Python 3.10.7 on
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="this Python has no int-to-text digit limit")
+from helpers import needs_digit_limit
 
 UNKNOT_V = LaurentPoly.one()
 TREFOIL_V = LaurentPoly({4: -1, 3: 1, 1: 1})

@@ -24,7 +24,7 @@ from knotobstruct.seifert import (
     seifert_from_spine,
     signature,
 )
-from test_obstruction import needs_digit_limit
+from helpers import needs_digit_limit
 
 TREFOIL_V = SeifertMatrix([[-1, 1], [0, -1]])
 FIG8_V = SeifertMatrix([[1, 1], [0, -1]])

@@ -11,11 +11,21 @@ from knotobstruct.twoloop import (
     constraint_solutions,
     constraint_solutions_rational,
     framing_difference,
-    framing_difference_closed_form,
     reduced_two_loop,
     theta_difference_identity,
 )
 from knotobstruct.selftest import suite_sixteen_v3
+
+
+def framing_difference_closed_form(s, ti, sign):
+    """-sign * (d G(t) - 4 v2yy Delta(t)) for a spine with m = 0, with
+    G(t) = -2 - ((2d+1)/3)(t + t^-1 - 2) and Delta(t) = d t + (1 - 2d)
+    + d t^-1 written out: the oracle framing_difference must match."""
+    d = s.d
+    c = Fraction(2 * d + 1, 3)
+    g = LaurentPoly({1: -c, 0: -2 + 2 * c, -1: -c})
+    delta = LaurentPoly({1: d, 0: 1 - 2 * d, -1: d})
+    return (g * d - delta * (4 * ti.v2yy)) * -sign
 
 
 class TestReducedTwoLoop:
