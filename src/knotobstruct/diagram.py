@@ -43,7 +43,8 @@ class PDCode:
 
 @dataclass(frozen=True)
 class PretzelParams:
-    """Parameters of the pretzel knot P(p, q, r); all three must be odd."""
+    """Parameters of the pretzel knot P(p, q, r); all three must be odd
+    integers."""
 
     p: int
     q: int
@@ -51,6 +52,8 @@ class PretzelParams:
 
     def __post_init__(self):
         for v in (self.p, self.q, self.r):
+            if not isinstance(v, int):
+                raise ValidationError(f"pretzel parameters must be integers, got {self!r}")
             if v % 2 == 0:
                 raise ValidationError(f"pretzel parameters must be odd, got {self!r}")
 

@@ -12,26 +12,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+from operator import index
 
 from .diagram import PretzelParams
 from .errors import DiagramTooLarge, ValidationError, digit_estimate, print_limit
 from .laurent import LaurentPoly
 
 #: Largest accepted Seifert matrix (genus 8).  Its one determinant is an
-#: integer Bareiss elimination: with entries in +-1000 it took 8-15 ms at
-#: 16x16 and 0.2 s at 24x24 (2-core x86-64 VM, Python 3.11).
+#: integer Bareiss elimination: with entries in +-1000 it took 11-12 ms at
+#: 16x16 and 0.16-0.19 s at 24x24 (2-core x86-64 VM, Python 3.11).
 MAX_SEIFERT_SIZE = 16
 
 #: Largest size^3 * x.bit_length() SeifertMatrix accepts, x = 2^b its
 #: Kronecker point; the determinant's cost grows with both.  At 5e6 units
-#: dense matrices took 0.20 s at 16x16 and at most 0.60 s (3x3 and 4x4)
-#: over sizes 2-16; a 16x16 with 50-digit entries (11e6 units) took 0.97 s
-#: (2-core x86-64 VM, Python 3.11).
+#: dense matrices took 0.18-0.19 s at 16x16 and at most 0.65 s (3x3 and
+#: 4x4) over sizes 2-16; a 16x16 with 50-digit entries (11e6 units) took
+#: 0.78-0.91 s (2-core x86-64 VM, Python 3.11).
 SEIFERT_WORK_CAP = 5_000_000
 
 
 class SeifertMatrix:
     """Square integer matrix with det(V - V^T) = 1, checked on construction.
+
+    Entries are read with operator.index, so a float or a numeric string
+    raises ValidationError rather than being truncated or parsed.  The
+    checks run in one order: integer entries, a square shape, the size
+    cap, the work cap, then det(V - V^T) = 1.
 
     One determinant serves both: det(V - t V^T) is det(V - V^T) at t = 1,
     and, transposed, equals t^size det(V - t^-1 V^T), so its t^(-size/2)
@@ -50,47 +56,53 @@ class SeifertMatrix:
     __slots__ = ("rows", "_alexander")
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        try:
+            rows = tuple([tuple(map(index, row)) for row in rows])
+        except TypeError as exc:
+            raise ValidationError(
+                f"Seifert matrix entries must be integers: {exc}") from None
         size = len(rows)
-        if any(len(r) != size for r in rows):
-            raise ValidationError("Seifert matrix must be square")
+        for row in rows:
+            if len(row) != size:
+                raise ValidationError("Seifert matrix must be square")
         if size > MAX_SEIFERT_SIZE:
             raise DiagramTooLarge(
                 f"{size}x{size} Seifert matrix exceeds the "
                 f"{MAX_SEIFERT_SIZE}x{MAX_SEIFERT_SIZE} cap"
             )
         self.rows = rows
-        cols = self.transpose()
+        cols = tuple(zip(*rows))
         bound = 1
         for row, col in zip(rows, cols):
-            bound *= sum(map(abs, row)) + sum(map(abs, col)) or 1
+            bound *= sum(map(abs, row + col)) or 1
         b = bound.bit_length() + 2
-        x = 1 << b
-        work = size ** 3 * x.bit_length()
+        work = size ** 3 * (b + 1)  # x = 2^b has b + 1 bits
         if work > SEIFERT_WORK_CAP:
             raise DiagramTooLarge(
                 f"{size}x{size} Seifert matrix work estimate {work} exceeds "
                 f"the cap {SEIFERT_WORK_CAP}"
             )
-        value = _det([[a - c * x for a, c in zip(row, col)]
+        value = _det([[a - (c << b) for a, c in zip(row, col)]
                       for row, col in zip(rows, cols)])
-        digits = []
-        for _ in range(size + 1):
-            c = value & (x - 1)
-            if 2 * c >= x:
+        x = 1 << b
+        mask, half = x - 1, x >> 1
+        g = size // 2
+        alexander, at_one = {}, 0
+        for e in range(-g, size - g + 1):
+            c = value & mask
+            if c >= half:
                 c -= x
-            digits.append(c)
+            if c:
+                alexander[e] = c
+                at_one += c
             value = (value - c) >> b
-        at_one = sum(digits)
         if at_one != 1:
             n, limit = digit_estimate(at_one), print_limit()
             shown = f"an integer of about {n} digits" if limit and n > limit else at_one
             raise ValidationError(
                 f"det(V - V^T) = {shown} != 1: not a Seifert matrix of a knot"
             )
-        g = size // 2
-        self._alexander = LaurentPoly(
-            {e - g: c for e, c in enumerate(digits) if c})
+        self._alexander = LaurentPoly(alexander)
 
     @property
     def size(self) -> int:
@@ -114,8 +126,9 @@ def _det(m):
     m[k][j]) // previous pivot, a division that is exact, so every entry
     stays a minor of m and the last one is det(m).  A zero pivot swaps in
     a lower row, flipping the sign; the empty matrix has determinant 1.
+    The elimination works in place: m must be a list of lists the caller
+    no longer needs, as SeifertMatrix's fresh Kronecker matrix is.
     """
-    m = [list(row) for row in m]
     n = len(m)
     if not n:
         return 1

@@ -120,6 +120,12 @@ class TestPretzelParams:
         with pytest.raises(ValidationError):
             PretzelParams(2, 1, 1)
 
+    @pytest.mark.parametrize("params", [(1.0, 1, 1), (1, 3, 5.0), ("1", 1, 1)])
+    def test_non_integers_refused(self, params):
+        # 1.0 % 2 is 1.0, so the oddness check alone would pass it
+        with pytest.raises(ValidationError, match="must be integers"):
+            PretzelParams(*params)
+
     def test_crossing_count(self):
         assert pretzel_pd(PretzelParams(5, 7, -3)).n == 15
         assert pretzel_pd(PretzelParams(1, 1, 1)).n == 3

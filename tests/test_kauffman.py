@@ -446,3 +446,36 @@ class TestJones:
         monkeypatch.setattr(kauffman, "bracket_twist", lambda p: LaurentPoly({2: 1}))
         with pytest.raises(NormalizationError, match="after writhe correction"):
             jones(params)
+
+
+def torus_jones(k, m):
+    """Jones' formula for the torus knot T(k, m):
+    t^((k-1)(m-1)/2) (1 - t^(k+1) - t^(m+1) + t^(k+m)) / (1 - t^2).
+
+    The division is long division from the constant term up: N = (1 - t^2)
+    Q gives q_e = n_e + q_(e-2), and the two coefficients past Q's degree
+    k + m - 2 must leave no remainder."""
+    num = [0] * (k + m + 1)
+    for e, c in ((0, 1), (k + 1, -1), (m + 1, -1), (k + m, 1)):
+        num[e] += c
+    quot = []
+    for e in range(k + m + 1):
+        quot.append(num[e] + (quot[e - 2] if e >= 2 else 0))
+    assert quot[-2:] == [0, 0], (k, m)
+    shift = (k - 1) * (m - 1) // 2
+    return LaurentPoly({e + shift: c for e, c in enumerate(quot)})
+
+
+class TestTorusKnots:
+    """The contraction engine against Jones' formula on the closed
+    positive braids (s1...s(k-1))^m, widths up to 14, where no brute
+    state sum reaches."""
+
+    @pytest.mark.parametrize("k, m", [(k, m) for k in range(2, 8)
+                                      for m in range(k + 1, 13)
+                                      if math.gcd(k, m) == 1])
+    def test_jones_formula(self, k, m):
+        pd = braid_closure_pd(k, list(range(1, k)) * m)
+        expected = torus_jones(k, m)
+        assert jones(pd) == expected
+        assert jones(mirror(pd)) == expected.substitute_power(-1)

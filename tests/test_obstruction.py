@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
 from knotobstruct.errors import (DiagramTooLarge, InconsistentInput, PreconditionViolation,
-                                 digit_estimate)
+                                 ValidationError, digit_estimate)
 from knotobstruct.kauffman import jones
 from knotobstruct.laurent import LaurentPoly, parse_laurent
 from knotobstruct.obstruction import (
@@ -177,6 +177,22 @@ class TestRequirePrintable:
         with pytest.raises(DiagramTooLarge):
             cosmetic_verdict(seifert=SeifertMatrix([[big, 1], [0, big]]),
                              jones_poly=UNKNOT_V)
+
+
+class TestNonIntegerInputs:
+    """Every source is exact: an entry or parameter that is no integer is
+    refused, not truncated (int(-1.7) is -1, the trefoil's entry) nor
+    parsed (int("-1") is -1)."""
+
+    @pytest.mark.parametrize("source", [
+        lambda: dict(seifert=SeifertMatrix([[-1.7, 1], [0, -1]])),
+        lambda: dict(seifert=SeifertMatrix([["-1", "1"], ["0", "-1"]])),
+        lambda: dict(spine=GenusOneSpine(1.5, 0, 0)),
+        lambda: dict(pretzel=PretzelParams(1.0, 1, 1)),
+    ], ids=["float_entry", "string_entry", "float_spine", "float_pretzel"])
+    def test_refused(self, source):
+        with pytest.raises(ValidationError, match="must be integers"):
+            cosmetic_verdict(**source())
 
 
 class TestPretzelFamily:

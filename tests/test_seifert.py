@@ -104,6 +104,22 @@ class TestSeifertMatrix:
                     rf"the cap {SEIFERT_WORK_CAP}")):
                 SeifertMatrix([[10 ** digits - 1] * size] * size)
 
+    def test_refusal_order(self):
+        # shape, then the size cap, then the work cap, then det(V - V^T):
+        # each input below also breaks every rule checked after the one
+        # it is refused by
+        big = 10 ** 3999  # 4000 digits
+        for rows, error, message in (
+                ([[big] * (i + 1) for i in range(17)], ValidationError,
+                 "Seifert matrix must be square"),
+                ([[big] * 17] * 17, DiagramTooLarge,
+                 "17x17 Seifert matrix exceeds the 16x16 cap"),
+                ([[big] * 8] * 8, DiagramTooLarge,
+                 "8x8 Seifert matrix work estimate 54431232 exceeds the cap 5000000")):
+            with pytest.raises(error) as caught:
+                SeifertMatrix(rows)
+            assert str(caught.value) == message
+
     def test_empty_matrix_is_unknot(self):
         v = SeifertMatrix([])
         assert alexander_from_seifert(v) == LaurentPoly.one()
@@ -357,7 +373,9 @@ class TestSympyOracle:
         rng = random.Random(13)
         for size in [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16] * 5:
             m = [[rng.choice([0, 0, 1, -1, 3]) for _ in range(size)] for _ in range(size)]
-            assert _det(m) == sympy.Matrix(size, size, sum(m, [])).det(), m
+            # _det eliminates in place, so it gets a copy of m
+            assert _det([row[:] for row in m]) == sympy.Matrix(
+                size, size, sum(m, [])).det(), m
 
     def test_signature(self):
         # a knot's Seifert matrix has even size; here V - V^T is the
