@@ -69,13 +69,14 @@ def parse_pd(text: str) -> PDCode:
 
     An empty string parses to the crossingless unknot.
     """
-    chunks = [c.strip() for c in text.split(";") if c.strip()]
     quads = []
-    for chunk in chunks:
-        m = _X_RE.match(chunk)
-        if not m:
-            raise PDSyntaxError(f"malformed PD token: {chunk!r}")
-        quads.append(tuple(int(g) for g in m.groups()))
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            m = _X_RE.match(chunk)
+            if not m:
+                raise PDSyntaxError(f"malformed PD token: {chunk!r}")
+            quads.append(tuple(map(int, m.groups())))
     return PDCode(tuple(quads))
 
 

@@ -2,11 +2,16 @@
 
 Three engines, all in the bracket variable A:
 - contraction (bracket_contract), the PD-code engine: crossings are added
-  one at a time and the state is a polynomial per matching of the open
-  boundary, so the cost follows the boundary's width and the crossing
-  count, not 2^n; capped at CONTRACT_WIDTH_CAP edges and at
-  CONTRACT_WORK_CAP units of estimated work, both checked from the
-  crossing order before any state work;
+  one at a time, and the state maps each matching of the open boundary
+  to its partial state sum, so the cost follows the boundary's width and
+  the crossing count, not 2^n.  Each open edge label holds one slot
+  while it is open, a matching is the tuple of partner slots, and a
+  smoothing edits a copy of it in place; each sum is one integer, its
+  coefficients packed as base-2^(2n + 3) digits in steps of A^4, exact
+  because the exponents on one matching share a class mod 4 and no
+  coefficient of <D> exceeds 4^n.  Capped at CONTRACT_WIDTH_CAP edges
+  and at CONTRACT_WORK_CAP units of estimated work, both checked from
+  the crossing order before any state work;
 - a brute-force state sum over all 2^n smoothings (bracket_brute), the
   trusted oracle the tests and selftest check the others against, capped
   at BRUTE_CAP = 20 crossings;
@@ -26,6 +31,7 @@ no division and no V: a fixed number of integer sums at any p, q, r.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import accumulate
 from operator import neg
 
@@ -40,14 +46,18 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 BRUTE_CAP = 20
 
 #: widest open boundary (edge labels) bracket_contract accepts; at 14 the
-#: closed braid (s1...s6)^m took 0.13 s (m = 8, 48 crossings) to 0.99 s
-#: (m = 22, 132 crossings), and width 16 took 0.94 s at 63 crossings
+#: closed braid (s1...s6)^m took 0.02 s (m = 8, 48 crossings) to 0.11-0.13 s
+#: (m = 22, 132 crossings), and T(8,9) at width 16 took 0.09-0.12 s at 63
+#: crossings (2-core x86-64 VM, Python 3.11.7)
 CONTRACT_WIDTH_CAP = 14
 
 #: largest contraction_order work estimate bracket_contract accepts; time
-#: ran at 0.19-0.58 us per unit on closed braids and pretzel diagrams, so
-#: (s1...s6)^22 (3.2e6 units, 0.8 s) passes and (s1...s6)^30 (6.3e6 units,
-#: 1.2 s) does not
+#: ran at 0.03-0.09 us per unit on closed braids and pretzel diagrams of up
+#: to 255 crossings, so (s1...s6)^22 (3.2e6 units, 0.11-0.13 s) passes and
+#: (s1...s6)^30 (6.3e6 units, 0.19-0.27 s) does not.  A coefficient takes
+#: 2n + 3 bits, so past a few hundred crossings a unit costs more: 0.13 us
+#: on P(301,301,-301) (903 crossings) and 0.6 us on T(2,1869), whose
+#: 3.49e6 units took 2.1-2.3 s
 CONTRACT_WORK_CAP = 3_500_000
 
 #: largest |p| + |q| + |r| the twist route accepts; at a total of 249,999
@@ -109,6 +119,7 @@ def bracket_brute(pd: PDCode) -> LaurentPoly:
     return result
 
 
+@cache
 def _catalan(k: int) -> int:
     """The number of non-crossing matchings of 2k boundary points."""
     c = 1
@@ -145,8 +156,9 @@ def contraction_order(pd: PDCode) -> tuple[list[int], int, int]:
     boundary: set[int] = set()
     order = []
     width = work = 0
-    for _ in range(pd.n):
-        best = max(frontier, key=lambda i: (frontier[i], -i))
+    for step in range(1, pd.n + 1):
+        most = max(frontier.values())
+        best = min([i for i, k in frontier.items() if k == most])
         del frontier[best]
         placed[best] = True
         order.append(best)
@@ -155,40 +167,102 @@ def contraction_order(pd: PDCode) -> tuple[list[int], int, int]:
                 boundary.remove(e)
             else:
                 boundary.add(e)
-        for e in boundary.intersection(pd.crossings[best]):  # labels just in
-            for j in at[e]:
-                if not placed[j]:
-                    frontier[j] = frontier.get(j, 0) + 1
-        width = max(width, len(boundary))
-        work += _catalan(len(boundary) // 2) * len(order)
+                for j in at[e]:
+                    if not placed[j]:
+                        frontier[j] = frontier.get(j, 0) + 1
+        w = len(boundary)
+        width = max(width, w)
+        work += _catalan(w // 2) * step
     return order, width, work
 
 
-#: delta^k as (exponent, coefficient) pairs, for the 0, 1 or 2 loops that
-#: adding one crossing can close
-_DELTA_POWERS = tuple(tuple((DELTA ** k).terms.items()) for k in range(3))
+def _slot_plan(pd: PDCode, order: list[int]) -> tuple[list, int]:
+    """The slot moves of bracket_contract along `order`, and the number of
+    slots they use.
+
+    An edge label takes a free slot when it enters the open boundary and
+    frees it when it leaves, so a slot names one label for as long as the
+    label is open, and every state of a step reads the same slots.  A
+    kink's repeated label takes a slot that it frees at the same step.
+    Slots freed at a step are taken again only at later steps.  A step
+    is ((shift, x1, y1, x2, y2) for the A-smoothing, shift +1, and the
+    same for the B-smoothing, shift -1; the slots freed there), where
+    x1-y1 and x2-y2 pair the quad's slots as bracket_brute pairs its
+    labels.
+    """
+    slot_of: dict[int, int] = {}  # open label -> its slot
+    free: list[int] = []
+    size = 0
+    plan = []
+    for i in order:
+        slots, freed = [], []
+        for e in pd.crossings[i]:
+            s = slot_of.pop(e, None)
+            if s is None:  # e enters the boundary here
+                if free:
+                    s = free.pop()
+                else:
+                    s, size = size, size + 1
+                slot_of[e] = s
+            else:  # e leaves: its other end is open, or here (a kink)
+                freed.append(s)
+            slots.append(s)
+        a, b, c, d = slots
+        plan.append((((1, a, d, b, c), (-1, a, b, c, d)), tuple(freed)))
+        free += freed
+    return plan, size
 
 
 def bracket_contract(pd: PDCode) -> LaurentPoly:
     """Kauffman bracket by adding one crossing at a time (Bar-Natan's
     divide-and-conquer contraction, for the bracket).
 
-    Crossings come in contraction_order.  The state maps each matching
-    of the open boundary edges (which edge each open arc's other end is)
-    to the partial state sum with those open arcs, as an {exp: coeff}
-    dict; each loop a smoothing closes multiplies by delta.  Smoothings
-    pair as in bracket_brute.  Every state sum term closes at least one
-    loop at the last crossing, which is counted once less there: the one
-    empty matching left then holds <D>.  Raises DiagramTooLarge before any
-    state work when the order's boundary is wider than CONTRACT_WIDTH_CAP
-    or its work estimate is over CONTRACT_WORK_CAP.  The estimate is at
-    least n(n+1)/2, which is checked first: it bounds the O(n * width)
-    ordering before that runs.
+    Crossings come in contraction_order, and _slot_plan gives each open
+    edge label a slot.  A matching of the open boundary is the tuple p
+    with p[s] the slot at the other end of the open arc at slot s, and
+    p[s] = s for a free slot.  One smoothing copies p, joins its two
+    slot pairs (the far ends of the two arcs meet, or they were one arc
+    and a loop closes), resets the slots freed there and makes a tuple
+    again.  Smoothings pair as in bracket_brute.  Each loop multiplies
+    by delta = -A^-2 (1 + A^4).  Every state sum term closes at least
+    one loop at the last crossing, which is counted once less there: the
+    matching with every slot free then holds <D>.
+
+    The state maps each matching to (lo, v): the partial state sum
+    sum_k c_k A^(lo + 4k), packed as v = sum_k c_k X^k at X = 2^B,
+    B = 2n + 3.  A smoothing with shift +-1 that closes L loops maps it
+    to (lo + shift - 2L, v), (.., -(1 + X) v) or (.., (1 + X)^2 v), and
+    two sums on one matching add once the lower lo is taken for both.
+    One balanced base-2^B decode of the last v writes <D>.  Two facts
+    make this exact:
+
+    - The exponents on one matching share one class mod 4.  Close the
+      partial diagram with one fixed smoothing of the crossings still to
+      come.  A state with b B-smoothings and L loops so far then has L
+      + L' loops in all, where L' depends only on the matching.  On
+      closed curves in the plane, changing one smoothing merges two
+      loops or splits one, so b + L + L' has one parity over all states
+      and b + L one parity on the matching.  The exponent after i
+      crossings is i - 2b - 2L, one class mod 4.  A mismatch raises
+      NormalizationError, a tripwire like the one in jones.
+    - The digits need no carry out.  A state of a connected n-crossing
+      diagram has at most n + 1 loops, since its loops joined at the
+      crossings form a connected graph with n edges.  So each of the 2^n
+      states adds at most 2^n to the absolute value of one coefficient
+      of <D>, and |c_k| <= 4^n < 2^(B - 1).  Partial sums need no
+      bound: v is a polynomial in Z[X] evaluated at X = 2^B, which
+      integer arithmetic keeps exactly.
+
+    Raises DiagramTooLarge before any state work when the order's
+    boundary is wider than CONTRACT_WIDTH_CAP or its work estimate is
+    over CONTRACT_WORK_CAP.  The estimate is at least n(n+1)/2, which is
+    checked first: it bounds the O(n * width) ordering before that runs.
     """
-    floor = pd.n * (pd.n + 1) // 2
+    n = pd.n
+    floor = n * (n + 1) // 2
     if floor > CONTRACT_WORK_CAP:
         raise DiagramTooLarge(
-            f"{pd.n} crossings give a contraction work estimate of at least "
+            f"{n} crossings give a contraction work estimate of at least "
             f"{floor}, over the cap {CONTRACT_WORK_CAP}"
         )
     order, width, work = contraction_order(pd)
@@ -204,34 +278,71 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     if not order:
         return LaurentPoly.one()  # the crossingless unknot
 
-    # key: sorted (open edge, the other end of its arc) pairs
-    states: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
-    last = order[-1]
-    for i in order:
-        a, b, c, d = pd.crossings[i]
-        smoothings = ((1, ((a, d), (b, c))), (-1, ((a, b), (c, d))))
-        out: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-        for key, poly in states.items():
-            for shift, pairs in smoothings:
-                partner = dict(key)
-                loops = -1 if i == last else 0
-                for x, y in pairs:
-                    u = partner.pop(x, x)  # far end of the open arc at x
-                    if u == y:  # x and y already ends of one arc, or x == y
-                        partner.pop(y, None)
-                        loops += 1
-                    else:
-                        v = partner.pop(y, y)
-                        partner[u] = v
-                        partner[v] = u
-                target = out.setdefault(tuple(sorted(partner.items())), {})
-                for de, dc in _DELTA_POWERS[loops]:
-                    de += shift
-                    for e, cf in poly.items():
-                        e += de
-                        target[e] = target.get(e, 0) + cf * dc
+    plan, size = _slot_plan(pd, order)
+    bits = 2 * n + 3
+    free = tuple(range(size))
+    states = {free: (0, 1)}
+    for step, (smoothings, freed) in enumerate(plan, 1):
+        start = -1 if step == n else 0  # the last loop is counted once less
+        out: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, (lo, v) in states.items():
+            for shift, x1, y1, x2, y2 in smoothings:
+                p = list(key)
+                loops = start
+                u = p[x1]
+                if u == y1:
+                    loops += 1
+                else:
+                    w = p[y1]
+                    p[u] = w
+                    p[w] = u
+                u = p[x2]
+                if u == y2:
+                    loops += 1
+                else:
+                    w = p[y2]
+                    p[u] = w
+                    p[w] = u
+                for s in freed:
+                    p[s] = s
+                k = tuple(p)
+                e = lo + shift - 2 * loops
+                if not loops:
+                    t = v
+                elif loops == 1:
+                    t = -v - (v << bits)
+                else:
+                    t = v + (v << bits + 1) + (v << 2 * bits)
+                old = out.get(k)
+                if old is None:
+                    out[k] = (e, t)
+                    continue
+                lo2, v2 = old
+                d = e - lo2
+                if d & 3:
+                    raise NormalizationError(
+                        f"bracket exponents {e} and {lo2} on one matching "
+                        "differ outside a class mod 4")
+                if not d:
+                    out[k] = (lo2, v2 + t)
+                elif d > 0:
+                    out[k] = (lo2, v2 + (t << (d >> 2) * bits))
+                else:
+                    out[k] = (e, t + (v2 << (-d >> 2) * bits))
         states = out
-    return LaurentPoly(states[()])
+    e, v = states[free]
+    x = 1 << bits
+    mask, half = x - 1, x >> 1
+    terms = {}
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= x
+        if c:
+            terms[e] = c
+        v = (v - c) >> bits
+        e += 4
+    return LaurentPoly(terms)
 
 
 def twist_tangle(n: int) -> tuple[tuple[int, int], tuple[int, int]]:

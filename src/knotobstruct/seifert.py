@@ -150,9 +150,22 @@ def _det(m):
     return sign * m[-1][-1]
 
 
+def index_fields(obj, what: str) -> None:
+    """Read every field of the frozen dataclass obj through operator.index,
+    as SeifertMatrix reads its entries, so a float or a numeric string
+    raises ValidationError (naming `what`) rather than flowing on."""
+    for name, v in vars(obj).items():
+        if type(v) is not int:
+            try:
+                object.__setattr__(obj, name, index(v))
+            except TypeError:
+                raise ValidationError(f"{what} must be integers, got {obj!r}") from None
+
+
 @dataclass(frozen=True)
 class GenusOneSpine:
-    """Framing/linking data (n, m, ell) of a genus-one spine tangle."""
+    """Framing/linking data (n, m, ell) of a genus-one spine tangle, all
+    integers."""
 
     n: int
     m: int
@@ -160,6 +173,11 @@ class GenusOneSpine:
     eps: int = 1
 
     def __post_init__(self):
+        # all plain ints, the common case, skip the call: m_forcing_check
+        # builds 1782 spines per bound-4 sweep
+        if not (type(self.n) is type(self.m) is type(self.ell)
+                is type(self.eps) is int):
+            index_fields(self, "spine fields")
         if self.eps not in (1, -1):
             raise ValidationError("eps must be +1 or -1")
 

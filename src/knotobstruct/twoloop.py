@@ -13,17 +13,21 @@ from itertools import product
 
 from .errors import PreconditionViolation
 from .laurent import LaurentPoly
-from .seifert import GenusOneSpine, alexander_genus_one, crossing_change
+from .seifert import GenusOneSpine, alexander_genus_one, crossing_change, index_fields
 
 
 @dataclass(frozen=True)
 class TangleInvariants:
-    """Framing-independent integer invariants of the spine tangle."""
+    """Framing-independent integer invariants of the spine tangle, read
+    through operator.index."""
 
     v2xx: int = 0
     v2yy: int = 0
     v2xy: int = 0
     v3: int = 0
+
+    def __post_init__(self):
+        index_fields(self, "tangle invariants")
 
 
 def _g_poly(d: int) -> LaurentPoly:

@@ -10,6 +10,7 @@ from knotobstruct import kauffman
 from knotobstruct.diagram import PretzelParams, mirror, parse_pd, pretzel_pd
 from knotobstruct.errors import DiagramTooLarge, NormalizationError
 from knotobstruct.kauffman import (
+    BRUTE_CAP,
     CONTRACT_WORK_CAP,
     DELTA,
     _W0,
@@ -30,7 +31,7 @@ from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import jones_values
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
 from helpers import braid_closure_pd
-from test_moves import fingered, moved
+from test_moves import CURLS, curl, fingered, moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
 F = LaurentPoly({0: 1, 4: 1})  # 1 + A^4
@@ -73,6 +74,20 @@ class TestBracketContract:
     def test_trefoil_oracle(self):
         assert bracket_contract(TREFOIL) == TREFOIL_BRACKET
 
+    def test_exponent_class_mismatch_raises(self, monkeypatch):
+        # an A-smoothing worth A^2 in place of A puts the two smoothings of
+        # a crossing in different classes mod 4, and they meet at the end
+        plan = kauffman._slot_plan
+
+        def shifted(pd, order):
+            steps, size = plan(pd, order)
+            return [(((2, *a[1:]), b), freed) for (a, b), freed in steps], size
+
+        monkeypatch.setattr(kauffman, "_slot_plan", shifted)
+        for pd in (TREFOIL, FIG8):
+            with pytest.raises(NormalizationError, match="class mod 4"):
+                bracket_contract(pd)
+
     def test_large_pretzel_matches_twist_route(self):
         # 255 crossings, far past the brute-force cap; the greedy order
         # keeps a pretzel's open boundary at six edges
@@ -81,6 +96,52 @@ class TestBracketContract:
         _, width, work = contraction_order(pd)
         assert width == 6 and work < CONTRACT_WORK_CAP
         assert bracket_contract(pd) == bracket_twist(params)
+
+
+def closes_to_a_knot(strands, word):
+    """Whether the braid word's permutation is one cycle on all strands."""
+    perm = list(range(strands))
+    for g in word:
+        i = abs(g) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    x, length = perm[0], 1
+    while x:
+        x, length = perm[x], length + 1
+    return length == strands
+
+
+def mixed_braid_knots(seed, count):
+    """`count` seeded random knots closed from mixed-sign braid words on 2
+    to 6 strands, of at most 13 letters: runs s_i s_(i+1) ... s_j with
+    random signs, which open wider boundaries than single letters do."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        strands = rng.randint(2, 6)
+        length = rng.randint(strands - 1, 13)
+        word = []
+        while len(word) < length:
+            i = rng.randint(1, strands - 1)
+            word += [rng.choice((1, -1)) * g
+                     for g in range(i, rng.randint(i, strands - 1) + 1)]
+        if closes_to_a_knot(strands, word[:length]):
+            out.append(braid_closure_pd(strands, word[:length]))
+    return out
+
+
+class TestMixedBraids:
+    def test_contract_matches_brute(self):
+        # each knot, its mirror and a random curl on it: 90 diagrams of
+        # at most 14 crossings, boundary widths 0 to 10
+        rng = random.Random(3)
+        widths = set()
+        for pd in mixed_braid_knots(3, 30):
+            curled = curl(pd, rng.randint(1, 2 * pd.n), rng.choice(sorted(CURLS)))
+            for diagram in (pd, mirror(pd), curled):
+                assert diagram.n <= BRUTE_CAP
+                widths.add(contraction_order(diagram)[1])
+                assert bracket_contract(diagram) == bracket_brute(diagram), diagram
+        assert {8, 10} <= widths
 
 
 def greedy_order(pd):

@@ -179,6 +179,17 @@ class TestSpine:
         s = crossing_change(GenusOneSpine(5, 0, -1), 1)
         assert s.d == 0  # m = 0 makes d framing-invariant
 
+    @pytest.mark.parametrize("fields", [(1.5, 0, 0), (1, 0.0, 0), (1, 0, 0, 1.0),
+                                        ("1", 0, 0), (0, 0, "-1")])
+    def test_non_integers_refused(self, fields):
+        # 1.5 used to flow into d and give Delta a float coefficient
+        with pytest.raises(ValidationError, match="spine fields must be integers"):
+            GenusOneSpine(*fields)
+
+    def test_integer_like_fields_read_as_int(self):
+        s = GenusOneSpine(True, 0, 0)
+        assert type(s.n) is int and s == GenusOneSpine(1, 0, 0)
+
     def test_closed_form_matches_matrix_route(self):
         for n in range(-4, 5):
             for m in range(-4, 5):

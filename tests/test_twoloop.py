@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotobstruct.errors import PreconditionViolation
+from knotobstruct.errors import PreconditionViolation, ValidationError
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.seifert import GenusOneSpine
 from knotobstruct.twoloop import (
@@ -39,6 +39,14 @@ class TestReducedTwoLoop:
     def test_pure_v2xy_at_ell_minus_one(self):
         th = reduced_two_loop(GenusOneSpine(0, 0, -1), TangleInvariants(v2xy=1))
         assert th == LaurentPoly({0: -2})
+
+    @pytest.mark.parametrize("fields", [(0.5, 1, 1, 1), (1, 1, 1, 2.0),
+                                        ("1", 1, 1, 1), (0, 0, "3", 0)])
+    def test_non_integer_invariants_refused(self, fields):
+        # 0.5 used to end reduced_two_loop in a bare AttributeError
+        with pytest.raises(ValidationError,
+                           match="tangle invariants must be integers"):
+            TangleInvariants(*fields)
 
     def test_symmetric_randomized(self):
         rng = random.Random(11)
