@@ -7,6 +7,8 @@ Verdicts are data, not errors: only input and I/O failures exit nonzero.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -231,6 +233,23 @@ def _batch_row_report(kind: str, payload: list[str]) -> ObstructionReport:
     return cosmetic_verdict(**{kind: _parse_input(kind, ",".join(payload))})
 
 
+def _write_report(path: str, data: bytes) -> None:
+    """Write data to path, overwriting a regular file in place.
+
+    The file is opened without O_TRUNC, written from its start and then
+    cut at the end of data, so a rerun rewrites an existing report with
+    no truncate-to-zero (which on ext4 flushes the file on close) and
+    leaves no tail of a longer one.  A pipe, a FIFO or a device such as
+    /dev/stdout or /dev/null gets data with no cut, since ftruncate
+    fails on them.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", default=None, type=click.Path())
@@ -264,8 +283,7 @@ def batch(input_path, output_path):
     text = json_text(doc)
     if output_path:
         try:
-            with open(output_path, "w") as fh:
-                fh.write(text + "\n")
+            _write_report(output_path, (text + "\n").encode())
         except OSError as exc:
             raise InputSyntaxError(f"--output {output_path}: {exc}") from exc
     else:

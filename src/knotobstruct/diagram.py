@@ -12,7 +12,7 @@ pinned by the trefoil oracle in the test suite (the PD
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PDSyntaxError, ValidationError
 
@@ -24,13 +24,18 @@ class PDCode:
     """Crossing list of a knot diagram; no crossings is the round unknot.
 
     Construction validates (see validate_pd), so every PDCode is a
-    single oriented knot diagram.
+    single oriented knot diagram, and keeps validate_pd's dart table:
+    partner[4i + s] is the other dart carrying the label at slot s of
+    crossing i (slots 0..3 are the quad's a, b, c, d), so dart d's edge
+    runs from crossing d >> 2 to crossing partner[d] >> 2.  The table is
+    derived from the crossings, so it takes no part in equality or hashing.
     """
 
     crossings: tuple[Quad, ...]
+    partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_pd(self)
+        object.__setattr__(self, "partner", validate_pd(self))
 
     @property
     def n(self) -> int:
@@ -84,45 +89,73 @@ def render_pd(pd: PDCode) -> str:
     return "; ".join("X({},{},{},{})".format(*q) for q in pd.crossings)
 
 
-def validate_pd(pd: PDCode) -> None:
-    """Check every crossing against the PD convention, one at a time.
+def _pair_darts(flat: list[int], m: int) -> list[int] | None:
+    """Each dart's partner, the other dart with its label, or None unless
+    the 2m darts carry the labels 1..m, each exactly twice.
 
-    The labels are 1..2n, each used twice.  Each quad (a, b, c, d) starts
-    at its incoming under-strand, so c follows a; its over-strand
-    direction is readable (see crossing_sign); and every label enters
-    exactly one crossing, at a or at the over-strand's incoming slot.
-    Together these force the walk 1 -> 2 -> ... -> 2n -> 1, so a link or
-    a half-turned quad raises ValidationError.  Last, the faces are the
-    orbits of "follow the edge to its other end, then turn to the previous
-    slot" on the darts 4i + s, where slots s = 0, 1, 2, 3 are the quad's
+    With 2m darts, no label outside 1..m and none three times, every label
+    is used exactly twice, so one pass checks the multiset.
+    """
+    if len(flat) != 2 * m:
+        return None
+    partner = [-1] * (2 * m)
+    first = [-1] * (m + 1)  # label -> its first dart; -2 once paired
+    for dart, e in enumerate(flat):
+        if not 0 < e <= m:
+            return None
+        other = first[e]
+        if other == -1:
+            first[e] = dart
+        elif other == -2:
+            return None
+        else:
+            partner[dart], partner[other], first[e] = other, dart, -2
+    return partner
+
+
+def validate_pd(pd: PDCode) -> tuple[int, ...]:
+    """Check every crossing against the PD convention, one at a time, and
+    return the dart table: partner[4i + s] is the other dart carrying the
+    label at slot s of quad i, where slots s = 0, 1, 2, 3 are the quad's
     a, b, c, d (quad i's own counterclockwise order, not pretzel_pd's
-    compass slots); by Euler's formula the connected diagram is planar
+    compass slots).
+
+    The labels are 1..2n, each used twice, which the one pass that pairs
+    the darts (_pair_darts) checks.  Each quad (a, b, c, d) starts at its
+    incoming under-strand, so c follows a; its over-strand direction is
+    readable (see crossing_sign); and every label enters exactly one
+    crossing, at a or at the over-strand's incoming slot.  Together these
+    force the walk 1 -> 2 -> ... -> 2n -> 1, so a link or a half-turned
+    quad raises ValidationError.  Last, the faces are the orbits of
+    "follow the edge to the partner dart, then turn to the previous slot"
+    on the darts; by Euler's formula the connected diagram is planar
     exactly when n >= 1 crossings give n + 2 faces, so a virtual knot's
     code raises ValidationError too.
     """
     n = pd.n
+    m = 2 * n
     flat = [e for quad in pd.crossings for e in quad]  # label at dart 4i + s
-    if sorted(flat) != sorted(2 * list(range(1, 2 * n + 1))):
+    try:
+        partner = _pair_darts(flat, m)
+    except TypeError:  # a label that is no integer
+        partner = None
+    if partner is None:
         raise ValidationError(
-            f"edge labels must be 1..{2*n}, each appearing exactly twice"
+            f"edge labels must be 1..{m}, each appearing exactly twice"
         )
     entered = set()
     for quad in pd.crossings:
         a, b, c, d = quad
-        if c != a % (2 * n) + 1:
+        if c != a % m + 1:
             raise ValidationError(
                 f"X{quad} must start at its incoming under-strand: "
                 f"{c} does not follow {a}"
             )
         entered.update((a, b if crossing_sign(quad, n) > 0 else d))
-    if len(entered) != 2 * n:
+    if len(entered) != m:
         raise ValidationError("the edge labels do not trace out one oriented knot")
-    # a dart's turn: to the other end of its edge, then the previous slot
-    by_label = sorted(range(4 * n), key=flat.__getitem__)
-    turn = [0] * (4 * n)
-    for a, b in zip(by_label[::2], by_label[1::2]):
-        turn[a] = b - 1 if b % 4 else b + 3
-        turn[b] = a - 1 if a % 4 else a + 3
+    # a dart's turn: to its partner, then the previous slot
+    turn = [p - 1 if p % 4 else p + 3 for p in partner]
     faces = 0
     for dart in range(4 * n):
         if turn[dart] >= 0:
@@ -134,6 +167,7 @@ def validate_pd(pd: PDCode) -> None:
             f"the code has {faces} faces, not the {n + 2} of a planar diagram "
             f"with {n} crossings: it is not planar (a virtual knot)"
         )
+    return tuple(partner)
 
 
 def crossing_sign(quad: Quad, n: int) -> int:

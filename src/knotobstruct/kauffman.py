@@ -4,14 +4,16 @@ Three engines, all in the bracket variable A:
 - contraction (bracket_contract), the PD-code engine: crossings are added
   one at a time, and the state maps each matching of the open boundary
   to its partial state sum, so the cost follows the boundary's width and
-  the crossing count, not 2^n.  Each open edge label holds one slot
-  while it is open, a matching is the tuple of partner slots, and a
-  smoothing edits a copy of it in place; each sum is one integer, its
-  coefficients packed as base-2^(2n + 3) digits in steps of A^4, exact
-  because the exponents on one matching share a class mod 4 and no
-  coefficient of <D> exceeds 4^n.  Capped at CONTRACT_WIDTH_CAP edges
-  and at CONTRACT_WORK_CAP units of estimated work, both checked from
-  the crossing order before any state work;
+  the crossing count, not 2^n.  One pass over the PDCode's dart table
+  (contraction_plan) gives the crossing order and the slot each open
+  edge holds while it is open; a matching is the tuple of partner
+  slots, and a smoothing edits a copy of it in place.  Each sum is one
+  integer, its coefficients packed as base-2^(n + 2) digits in steps of
+  A^4, exact because the exponents on one matching share a class mod 4
+  and, by Thistlethwaite's spanning-tree expansion, no coefficient of
+  <D> exceeds 2^n.  Capped at CONTRACT_WIDTH_CAP edges and at
+  CONTRACT_WORK_CAP units of estimated work, both checked from the plan
+  before any state work;
 - a brute-force state sum over all 2^n smoothings (bracket_brute), the
   trusted oracle the tests and selftest check the others against, capped
   at BRUTE_CAP = 20 crossings;
@@ -51,13 +53,14 @@ BRUTE_CAP = 20
 #: crossings (2-core x86-64 VM, Python 3.11.7)
 CONTRACT_WIDTH_CAP = 14
 
-#: largest contraction_order work estimate bracket_contract accepts; time
+#: largest contraction_plan work estimate bracket_contract accepts; time
 #: ran at 0.03-0.09 us per unit on closed braids and pretzel diagrams of up
 #: to 255 crossings, so (s1...s6)^22 (3.2e6 units, 0.11-0.13 s) passes and
 #: (s1...s6)^30 (6.3e6 units, 0.19-0.27 s) does not.  A coefficient takes
-#: 2n + 3 bits, so past a few hundred crossings a unit costs more: 0.13 us
-#: on P(301,301,-301) (903 crossings) and 0.6 us on T(2,1869), whose
-#: 3.49e6 units took 2.1-2.3 s
+#: n + 2 bits, so past a few hundred crossings a unit costs more: 0.07-0.08
+#: us on P(301,301,-301) (903 crossings, 1.2e6 units, 83-100 ms) and 0.28-
+#: 0.33 us on P(1,1,1861) and T(2,1869), whose 3.5e6 units took 0.98-1.00 s
+#: and 1.15-1.16 s (2-core x86-64 VM, Python 3.11.7)
 CONTRACT_WORK_CAP = 3_500_000
 
 #: largest |p| + |q| + |r| the twist route accepts; at a total of 249,999
@@ -128,109 +131,93 @@ def _catalan(k: int) -> int:
     return c
 
 
-def contraction_order(pd: PDCode) -> tuple[list[int], int, int]:
-    """Greedy crossing order for bracket_contract, its widest boundary and
-    an estimate of its work.
+def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
+    """Greedy crossing order for bracket_contract, its widest boundary, an
+    estimate of its work, and the slot moves along the order with the
+    number of slots they use: one pass over the dart table pd.partner.
 
-    The open boundary is the set of edge labels seen once so far; the next
-    crossing is the first one sharing the most labels with it.  Each label
-    sits at two crossing slots, so a label entering the boundary adds one
-    to the count of the other crossing holding it, and it leaves only at
-    that crossing.  `frontier` keeps these counts for the unordered
-    crossings that touch the boundary, at most one per boundary label, so
-    a step costs O(width) and the order O(n * width).  After the i-th
-    crossing a boundary of w edges has up to Catalan(w/2) matchings, each
-    holding a polynomial of O(i) terms, so the work estimate is the sum of
-    Catalan(w_i/2) * i over the order.
+    The open boundary is the set of edges seen at one end so far; the
+    next crossing is the first one sharing the most edges with it.  An
+    edge enters the boundary at a dart whose partner is not yet open,
+    which adds one to the count of the partner's crossing, and it leaves
+    only at that crossing.  `frontier` keeps these counts for the
+    unordered crossings that touch the boundary, at most one per
+    boundary edge, so a step costs O(width) and the order O(n * width).
+    After the i-th crossing a boundary of w edges has up to Catalan(w/2)
+    matchings, each holding a polynomial of O(i) terms, so the work
+    estimate is the sum of Catalan(w_i/2) * i over the order.
+
+    An edge takes a free slot when it enters the boundary and frees it
+    when it leaves, so a slot names one edge for as long as the edge is
+    open, and every state of a step reads the same slots.  A kink's edge
+    takes a slot that it frees at the same step.  Slots freed at a step
+    are taken again only at later steps.  A step is ((shift, x1, y1, x2,
+    y2) for the A-smoothing, shift +1, and the same for the B-smoothing,
+    shift -1; the slots freed there), where x1-y1 and x2-y2 pair the
+    quad's slots as bracket_brute pairs its labels.
 
     It starts at crossing 0.  A validated PDCode is one knot, whose walk
     1, 2, ..., 2n meets every crossing, so until the last one an edge
     joins the ordered crossings to an unordered one, held in `frontier`.
     """
-    at: dict[int, list[int]] = {}  # edge label -> crossings holding it
-    for i, quad in enumerate(pd.crossings):
-        for e in quad:
-            at.setdefault(e, []).append(i)
+    partner = pd.partner
     placed = [False] * pd.n
-    frontier = {0: 0}  # unordered crossing -> labels on boundary
-    boundary: set[int] = set()
-    order = []
-    width = work = 0
+    slot_at = [-1] * len(partner)  # dart where an edge entered -> its slot
+    frontier = {0: 0}  # unordered crossing -> edges on boundary
+    free: list[int] = []
+    order, plan = [], []
+    size = width = work = w = 0
     for step in range(1, pd.n + 1):
         most = max(frontier.values())
         best = min([i for i, k in frontier.items() if k == most])
         del frontier[best]
         placed[best] = True
         order.append(best)
-        for e in pd.crossings[best]:  # a kink's repeated label goes in and out
-            if e in boundary:
-                boundary.remove(e)
-            else:
-                boundary.add(e)
-                for j in at[e]:
-                    if not placed[j]:
-                        frontier[j] = frontier.get(j, 0) + 1
-        w = len(boundary)
-        width = max(width, w)
-        work += _catalan(w // 2) * step
-    return order, width, work
-
-
-def _slot_plan(pd: PDCode, order: list[int]) -> tuple[list, int]:
-    """The slot moves of bracket_contract along `order`, and the number of
-    slots they use.
-
-    An edge label takes a free slot when it enters the open boundary and
-    frees it when it leaves, so a slot names one label for as long as the
-    label is open, and every state of a step reads the same slots.  A
-    kink's repeated label takes a slot that it frees at the same step.
-    Slots freed at a step are taken again only at later steps.  A step
-    is ((shift, x1, y1, x2, y2) for the A-smoothing, shift +1, and the
-    same for the B-smoothing, shift -1; the slots freed there), where
-    x1-y1 and x2-y2 pair the quad's slots as bracket_brute pairs its
-    labels.
-    """
-    slot_of: dict[int, int] = {}  # open label -> its slot
-    free: list[int] = []
-    size = 0
-    plan = []
-    for i in order:
         slots, freed = [], []
-        for e in pd.crossings[i]:
-            s = slot_of.pop(e, None)
-            if s is None:  # e enters the boundary here
+        for dart in range(4 * best, 4 * best + 4):
+            other = partner[dart]
+            s = slot_at[other]
+            if s < 0:  # the edge enters the boundary here
                 if free:
                     s = free.pop()
                 else:
                     s, size = size, size + 1
-                slot_of[e] = s
-            else:  # e leaves: its other end is open, or here (a kink)
+                slot_at[dart] = s
+                w += 1
+                j = other >> 2
+                if not placed[j]:
+                    frontier[j] = frontier.get(j, 0) + 1
+            else:  # it leaves: its other end is open, or here (a kink)
                 freed.append(s)
+                w -= 1
             slots.append(s)
         a, b, c, d = slots
         plan.append((((1, a, d, b, c), (-1, a, b, c, d)), tuple(freed)))
         free += freed
-    return plan, size
+        width = max(width, w)
+        work += _catalan(w // 2) * step
+    return order, width, work, plan, size
 
 
 def bracket_contract(pd: PDCode) -> LaurentPoly:
     """Kauffman bracket by adding one crossing at a time (Bar-Natan's
     divide-and-conquer contraction, for the bracket).
 
-    Crossings come in contraction_order, and _slot_plan gives each open
-    edge label a slot.  A matching of the open boundary is the tuple p
-    with p[s] the slot at the other end of the open arc at slot s, and
-    p[s] = s for a free slot.  One smoothing copies p, joins its two
-    slot pairs (the far ends of the two arcs meet, or they were one arc
-    and a loop closes), resets the slots freed there and makes a tuple
-    again.  Smoothings pair as in bracket_brute.  Each loop multiplies
-    by delta = -A^-2 (1 + A^4).  Every state sum term closes at least
-    one loop at the last crossing, which is counted once less there: the
-    matching with every slot free then holds <D>.
+    contraction_plan reads the crossing order and each open edge's slot
+    off the dart table pd.partner in one pass.  A matching of the open
+    boundary is the tuple p with p[s] the slot at the other end of the
+    open arc at slot s, and p[s] = s for a free slot.  One smoothing
+    copies p, joins its two slot pairs (the far ends of the two arcs
+    meet, or they were one arc and a loop closes), resets the slots
+    freed there and makes a tuple again.  Smoothings pair as in
+    bracket_brute.  Each loop multiplies by delta = -A^-2 (1 + A^4).
+    Every state sum term closes at least one loop at the last crossing,
+    which is counted once less there: the matching with every slot free
+    then holds <D>.
 
     The state maps each matching to (lo, v): the partial state sum
     sum_k c_k A^(lo + 4k), packed as v = sum_k c_k X^k at X = 2^B,
-    B = 2n + 3.  A smoothing with shift +-1 that closes L loops maps it
+    B = n + 2.  A smoothing with shift +-1 that closes L loops maps it
     to (lo + shift - 2L, v), (.., -(1 + X) v) or (.., (1 + X)^2 v), and
     two sums on one matching add once the lower lo is taken for both.
     One balanced base-2^B decode of the last v writes <D>.  Two facts
@@ -245,18 +232,20 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
       and b + L one parity on the matching.  The exponent after i
       crossings is i - 2b - 2L, one class mod 4.  A mismatch raises
       NormalizationError, a tripwire like the one in jones.
-    - The digits need no carry out.  A state of a connected n-crossing
-      diagram has at most n + 1 loops, since its loops joined at the
-      crossings form a connected graph with n edges.  So each of the 2^n
-      states adds at most 2^n to the absolute value of one coefficient
-      of <D>, and |c_k| <= 4^n < 2^(B - 1).  Partial sums need no
-      bound: v is a polynomial in Z[X] evaluated at X = 2^B, which
-      integer arithmetic keeps exactly.
+    - The digits need no carry out.  Checkerboard-colour the connected
+      n-crossing diagram; its Tait graph has a vertex per shaded region
+      and an edge per crossing, so n edges.  Thistlethwaite's
+      spanning-tree expansion (Topology 26, 1987) writes <D> as a sum
+      over the spanning trees of that graph of one signed monomial +-A^e
+      each, so |c_k| is at most the number of spanning trees, at most
+      the 2^n subsets of the n edges: |c_k| <= 2^n < 2^(B - 1).  Partial
+      sums need no bound: v is a polynomial in Z[X] evaluated at
+      X = 2^B, which integer arithmetic keeps exactly.
 
-    Raises DiagramTooLarge before any state work when the order's
+    Raises DiagramTooLarge before any state work when the plan's
     boundary is wider than CONTRACT_WIDTH_CAP or its work estimate is
     over CONTRACT_WORK_CAP.  The estimate is at least n(n+1)/2, which is
-    checked first: it bounds the O(n * width) ordering before that runs.
+    checked first: it bounds the O(n * width) planning before that runs.
     """
     n = pd.n
     floor = n * (n + 1) // 2
@@ -265,7 +254,7 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
             f"{n} crossings give a contraction work estimate of at least "
             f"{floor}, over the cap {CONTRACT_WORK_CAP}"
         )
-    order, width, work = contraction_order(pd)
+    order, width, work, plan, size = contraction_plan(pd)
     if width > CONTRACT_WIDTH_CAP:
         raise DiagramTooLarge(
             f"contraction boundary of {width} edges exceeds the width cap "
@@ -278,8 +267,7 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     if not order:
         return LaurentPoly.one()  # the crossingless unknot
 
-    plan, size = _slot_plan(pd, order)
-    bits = 2 * n + 3
+    bits = n + 2
     free = tuple(range(size))
     states = {free: (0, 1)}
     for step, (smoothings, freed) in enumerate(plan, 1):

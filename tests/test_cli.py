@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -10,7 +12,7 @@ from knotobstruct.diagram import PretzelParams, parse_pd, pretzel_pd, render_pd
 from knotobstruct.errors import DiagramTooLarge
 from knotobstruct.kauffman import (CONTRACT_WIDTH_CAP, CONTRACT_WORK_CAP,
                                    PRETZEL_TOTAL_CAP, bracket_contract,
-                                   contraction_order, jones)
+                                   contraction_plan, jones)
 from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import json_text, obstruction_value, pretzel_family
 from knotobstruct.seifert import pretzel_alexander_coeff
@@ -230,7 +232,7 @@ class TestInvariants:
         # the torus knot T(8,9) as a closed 8-braid: 63 crossings whose
         # greedy contraction order opens 16 boundary edges
         pd = braid_closure_pd(8, list(range(1, 8)) * 9)
-        assert contraction_order(pd)[1] > CONTRACT_WIDTH_CAP
+        assert contraction_plan(pd)[1] > CONTRACT_WIDTH_CAP
         start = time.perf_counter()
         with pytest.raises(DiagramTooLarge):
             bracket_contract(pd)
@@ -243,7 +245,7 @@ class TestInvariants:
         # (s1...s6)^43: 258 crossings inside the width cap, whose work
         # estimate is about four times the cap (it ran 3 s with no cap)
         pd = braid_closure_pd(7, list(range(1, 7)) * 43)
-        _, width, work = contraction_order(pd)
+        _, width, work, _, _ = contraction_plan(pd)
         assert width <= CONTRACT_WIDTH_CAP and work > CONTRACT_WORK_CAP
         start = time.perf_counter()
         with pytest.raises(DiagramTooLarge):
@@ -581,6 +583,55 @@ class TestBatch:
         result = invoke("batch", "--input", str(path))
         assert result.exit_code == 2
         assert result.stderr.startswith("error: --input ") and result.stderr.count("\n") == 1
+
+    def test_shorter_rerun_leaves_no_stale_tail(self, tmp_path):
+        # the second run overwrites the first report in place, then trims
+        long_csv, short_csv = tmp_path / "long.csv", tmp_path / "short.csv"
+        long_csv.write_text("kind,label\n" + "pretzel,k1,5,7,-3\n" * 20)
+        short_csv.write_text("kind,label\npretzel,trefoil,1,1,1\n")
+        out_path = tmp_path / "out.json"
+        assert invoke("batch", "--input", str(long_csv),
+                      "--output", str(out_path)).exit_code == 0
+        long_size = out_path.stat().st_size
+        result = invoke("batch", "--input", str(short_csv), "--output", str(out_path))
+        want = invoke("batch", "--input", str(short_csv))
+        assert result.exit_code == want.exit_code == 0
+        assert out_path.read_bytes() == want.stdout.encode()
+        assert out_path.stat().st_size < long_size
+
+    def test_output_may_be_the_input(self, tmp_path):
+        # the CSV is read in full before the report is written over it
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text("kind,label\npretzel,trefoil,1,1,1\n" * 3)
+        want = invoke("batch", "--input", str(csv_path))
+        result = invoke("batch", "--input", str(csv_path), "--output", str(csv_path))
+        assert result.exit_code == want.exit_code == 0
+        assert csv_path.read_bytes() == want.stdout.encode()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_output_gets_the_whole_document(self, tmp_path):
+        # a FIFO cannot be trimmed; the reader still gets every byte
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text("kind,label\n" + "pretzel,k1,5,7,-3\n" * 40)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        result = invoke("batch", "--input", str(csv_path), "--output", str(fifo))
+        reader.join(timeout=30)
+        want = invoke("batch", "--input", str(csv_path))
+        assert result.exit_code == 0 and not reader.is_alive()
+        assert got == [want.stdout.encode()]
+
+    @pytest.mark.skipif(os.devnull != "/dev/null", reason="no /dev/null")
+    def test_device_output_exits_0(self, tmp_path):
+        # ftruncate fails on a character device, so none is attempted
+        csv_path = tmp_path / "knots.csv"
+        csv_path.write_text("kind,label\npretzel,trefoil,1,1,1\n")
+        result = invoke("batch", "--input", str(csv_path), "--output", os.devnull)
+        assert result.exit_code == 0 and result.stdout == ""
 
     @pytest.mark.parametrize("target", ["directory", "missing/out.json"])
     def test_unwritable_output_exits_2(self, tmp_path, target):

@@ -98,6 +98,31 @@ class TestValidator:
         validate_pd(pd)
         validate_pd(mirror(pd))
 
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DIAGRAMS)
+    def test_dart_table_pairs_equal_labels(self, pd):
+        # curled, relabelled and fingered diagrams and their mirrors: the
+        # partner table is an involution with no fixed point, and a dart's
+        # partner carries its label
+        for diagram in (pd, mirror(pd)):
+            flat = [e for quad in diagram.crossings for e in quad]
+            partner = diagram.partner
+            assert partner == validate_pd(diagram)
+            assert len(partner) == len(flat) == 4 * diagram.n
+            for dart, other in enumerate(partner):
+                assert other != dart and partner[other] == dart
+                assert flat[other] == flat[dart]
+
+    @pytest.mark.parametrize("quads", [
+        ((0, 1, 1, 2),), ((-1, 2, 2, 1),), ((1, 2, 2),), ((1, 2, 2, 1, 1),),
+        ((1, 1.5, 2, 2),), ((1, "x", 2, 2),),
+    ], ids=["zero", "negative", "short", "long", "float", "str"])
+    def test_label_multiset_rejected(self, quads):
+        # each way out of the one pass that pairs the darts; a label that
+        # is no integer is refused like any other bad label
+        with pytest.raises(ValidationError, match="1..2, each appearing exactly twice"):
+            PDCode(quads)
+
     @pytest.mark.parametrize("text, sign", [("X(1,1,2,2)", -1), ("X(1,2,2,1)", 1),
                                             ("X(2,1,1,2)", 1), ("X(2,2,1,1)", -1)])
     def test_one_crossing_curls(self, text, sign):

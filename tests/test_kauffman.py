@@ -22,7 +22,7 @@ from knotobstruct.kauffman import (
     bracket_brute,
     bracket_contract,
     bracket_twist,
-    contraction_order,
+    contraction_plan,
     jones,
     twist_jones_values,
     twist_tangle,
@@ -77,13 +77,14 @@ class TestBracketContract:
     def test_exponent_class_mismatch_raises(self, monkeypatch):
         # an A-smoothing worth A^2 in place of A puts the two smoothings of
         # a crossing in different classes mod 4, and they meet at the end
-        plan = kauffman._slot_plan
+        planner = kauffman.contraction_plan
 
-        def shifted(pd, order):
-            steps, size = plan(pd, order)
-            return [(((2, *a[1:]), b), freed) for (a, b), freed in steps], size
+        def shifted(pd):
+            order, width, work, steps, size = planner(pd)
+            steps = [(((2, *a[1:]), b), freed) for (a, b), freed in steps]
+            return order, width, work, steps, size
 
-        monkeypatch.setattr(kauffman, "_slot_plan", shifted)
+        monkeypatch.setattr(kauffman, "contraction_plan", shifted)
         for pd in (TREFOIL, FIG8):
             with pytest.raises(NormalizationError, match="class mod 4"):
                 bracket_contract(pd)
@@ -93,7 +94,7 @@ class TestBracketContract:
         # keeps a pretzel's open boundary at six edges
         params = PretzelParams(101, 103, -51)
         pd = pretzel_pd(params)
-        _, width, work = contraction_order(pd)
+        _, width, work, _, _ = contraction_plan(pd)
         assert width == 6 and work < CONTRACT_WORK_CAP
         assert bracket_contract(pd) == bracket_twist(params)
 
@@ -139,14 +140,15 @@ class TestMixedBraids:
             curled = curl(pd, rng.randint(1, 2 * pd.n), rng.choice(sorted(CURLS)))
             for diagram in (pd, mirror(pd), curled):
                 assert diagram.n <= BRUTE_CAP
-                widths.add(contraction_order(diagram)[1])
+                widths.add(contraction_plan(diagram)[1])
                 assert bracket_contract(diagram) == bracket_brute(diagram), diagram
         assert {8, 10} <= widths
 
 
 def greedy_order(pd):
-    """contraction_order as first written, the reference it must match: a
-    max over every remaining crossing at each step, O(n^2)."""
+    """contraction_plan's (order, width, work) as first written, the
+    reference it must match: a max over every remaining crossing at each
+    step, O(n^2)."""
     remaining = list(range(pd.n))
     boundary = set()
     order = []
@@ -187,12 +189,12 @@ class TestContractionOrder:
         # gate 4's pretzel corpus, its mirrors, closed braids and curls
         pds = [pretzel_pd(params) for params in pretzels(13)]
         for pd in pds + [mirror(pd) for pd in pds] + BRAIDS + KINKS + [parse_pd("")]:
-            assert contraction_order(pd) == greedy_order(pd), pd
+            assert contraction_plan(pd)[:3] == greedy_order(pd), pd
 
     @given(moved([pretzel_pd(params) for params in pretzels(7)] + BRAIDS[:20], 4))
     def test_relabelled_and_curled_match_reference(self, case):
         _, pd, _ = case
-        assert contraction_order(pd) == greedy_order(pd)
+        assert contraction_plan(pd)[:3] == greedy_order(pd)
 
     @given(fingered([pretzel_pd(params) for params in pretzels(7)]
                     + [TREFOIL, FIG8] + BRAIDS[:20] + KINKS, 2))
@@ -200,7 +202,7 @@ class TestContractionOrder:
         # an R2 finger adds two crossings joined by two edges; the knot is
         # still one walk, so the frontier is never empty mid-way
         _, pd = case
-        assert contraction_order(pd) == greedy_order(pd)
+        assert contraction_plan(pd)[:3] == greedy_order(pd)
 
 
 def tangle_polys(n):
