@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import PDSyntaxError, ValidationError
 
@@ -46,6 +47,19 @@ class PDCode:
         return 0 if self.crossings else 1
 
 
+def index_fields(obj, what: str) -> None:
+    """Read every field of the frozen dataclass obj through operator.index,
+    as SeifertMatrix reads its entries, so a bool or an __index__ integer
+    is stored as a plain int, and a float or a numeric string raises
+    ValidationError (naming `what`) rather than flowing on."""
+    for name, v in vars(obj).items():
+        if type(v) is not int:
+            try:
+                object.__setattr__(obj, name, index(v))
+            except TypeError:
+                raise ValidationError(f"{what} must be integers, got {obj!r}") from None
+
+
 @dataclass(frozen=True)
 class PretzelParams:
     """Parameters of the pretzel knot P(p, q, r); all three must be odd
@@ -56,11 +70,12 @@ class PretzelParams:
     r: int
 
     def __post_init__(self):
-        for v in (self.p, self.q, self.r):
-            if not isinstance(v, int):
-                raise ValidationError(f"pretzel parameters must be integers, got {self!r}")
-            if v % 2 == 0:
-                raise ValidationError(f"pretzel parameters must be odd, got {self!r}")
+        # all plain ints, the common case, skip the call: every scan row and
+        # every pretzel batch row builds one
+        if not (type(self.p) is type(self.q) is type(self.r) is int):
+            index_fields(self, "pretzel parameters")
+        if not self.p % 2 or not self.q % 2 or not self.r % 2:
+            raise ValidationError(f"pretzel parameters must be odd, got {self!r}")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)

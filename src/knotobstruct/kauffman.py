@@ -220,8 +220,8 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     B = n + 2.  A smoothing with shift +-1 that closes L loops maps it
     to (lo + shift - 2L, v), (.., -(1 + X) v) or (.., (1 + X)^2 v), and
     two sums on one matching add once the lower lo is taken for both.
-    One balanced base-2^B decode of the last v writes <D>.  Two facts
-    make this exact:
+    LaurentPoly.from_digits decodes the last v into <D>.  Two facts make
+    this exact:
 
     - The exponents on one matching share one class mod 4.  Close the
       partial diagram with one fixed smoothing of the crossings still to
@@ -319,18 +319,7 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
                     out[k] = (e, t + (v2 << (-d >> 2) * bits))
         states = out
     e, v = states[free]
-    x = 1 << bits
-    mask, half = x - 1, x >> 1
-    terms = {}
-    while v:
-        c = v & mask
-        if c >= half:
-            c -= x
-        if c:
-            terms[e] = c
-        v = (v - c) >> bits
-        e += 4
-    return LaurentPoly(terms)
+    return LaurentPoly.from_digits(v, bits, e, 4)
 
 
 def twist_tangle(n: int) -> tuple[tuple[int, int], tuple[int, int]]:

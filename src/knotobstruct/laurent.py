@@ -1,7 +1,8 @@
 """Exact Laurent polynomial arithmetic over the integers and rationals.
 
-Polynomials are built from and kept as {exponent: coefficient} maps with no
-zero coefficients, so map equality is polynomial equality.  Coefficients are
+Polynomials are built from {exponent: coefficient} maps, or decoded from one
+Kronecker-packed integer (from_digits), and kept as maps with no zero
+coefficients, so map equality is polynomial equality.  Coefficients are
 kept as given: integer input stays `int` through every ring operation
 and through `evaluate` at t = +-1, and `Fraction` enters only with a real
 denominator (a parsed `a/b`, twoloop's halves and thirds).
@@ -33,6 +34,29 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
+
+    @classmethod
+    def from_digits(cls, value: int, bits: int, lo: int,
+                    step: int = 1) -> "LaurentPoly":
+        """sum_k c_k t^(lo + step*k), the c_k being value's balanced
+        base-2^bits digits, value = sum_k c_k 2^(bits*k) with every c_k in
+        [-2^(bits-1), 2^(bits-1)).  The one decoder of a Kronecker-packed
+        polynomial: it is exact when the caller has proved that its
+        coefficients lie in that range.  Value 0 is the zero polynomial."""
+        d: dict[int, int] = {}
+        x = 1 << bits
+        mask, half = x - 1, x >> 1
+        while value:
+            c = value & mask
+            if c >= half:
+                c -= x
+            if c:
+                d[lo] = c
+            value = (value - c) >> bits
+            lo += step
+        out = cls.__new__(cls)
+        out._terms = d
+        return out
 
     # -- basic queries -----------------------------------------------------
 
@@ -127,12 +151,6 @@ class LaurentPoly:
     def derivative(self) -> "LaurentPoly":
         """The formal derivative."""
         return LaurentPoly({e - 1: e * c for e, c in self._terms.items() if e})
-
-    def substitute_power(self, k: int) -> "LaurentPoly":
-        """The image under t -> t^k (k nonzero; k = -1 inverts the variable)."""
-        if k == 0:
-            raise ValueError("k must be nonzero")
-        return LaurentPoly({e * k: c for e, c in self._terms.items()})
 
     # -- text form ---------------------------------------------------------
 

@@ -121,9 +121,8 @@ def require_printable(*values: LaurentPoly | Scalar | None) -> None:
     """Raise DiagramTooLarge when a value has an integer (a coefficient's,
     or a rational's numerator or denominator) with more digits than
     int-to-text conversion allows (print_limit).  One pass takes the
-    largest bit length b: digit_estimate is above the limit exactly when
-    b * log10(2), rounded down, reaches it, and it counts the digits only
-    for the message.  None values are skipped."""
+    largest bit length b, and digit_estimate of a b-bit integer decides.
+    None values are skipped."""
     limit = print_limit()
     bits = 0
     for v in filter(None, values):  # drops None and zeros, which have no bits
@@ -132,8 +131,8 @@ def require_printable(*values: LaurentPoly | Scalar | None) -> None:
                 x.numerator.bit_length(), x.denominator.bit_length())
             if b > bits:
                 bits = b
-    if limit and bits * 30103 // 100000 >= limit:  # digit_estimate's log10(2)
-        digits = digit_estimate(1 << bits - 1)  # an integer of `bits` bits
+    digits = digit_estimate(1 << bits >> 1)  # an integer of `bits` bits
+    if limit and digits > limit:
         raise DiagramTooLarge(
             f"a result has an integer of about {digits} digits, "
             f"over the {limit}-digit limit for printing integers"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from operator import index
 
-from .diagram import PretzelParams
+from .diagram import PretzelParams, index_fields
 from .errors import DiagramTooLarge, ValidationError, digit_estimate, print_limit
 from .laurent import LaurentPoly
 
@@ -42,14 +42,14 @@ class SeifertMatrix:
     One determinant serves both: det(V - t V^T) is det(V - V^T) at t = 1,
     and, transposed, equals t^size det(V - t^-1 V^T), so its t^(-size/2)
     shift is the Alexander polynomial, symmetric with value 1 at t = 1.
-    An odd-size V has det(V - V^T) = 0 and never reaches the shift.
+    An odd-size V has det(V - V^T) = 0 and fails that check.
 
     The polynomial P(t) = det(V - t V^T) is read off one integer, P(x) at
     x = 2^b (Kronecker substitution).  On |t| = 1 each entry has modulus
     at most |v_ij| + |v_ji|, so by Hadamard's inequality the product of
-    the rows' sums of these bounds every coefficient of P; with x over
-    four times that bound, P's coefficients are the balanced base-x
-    digits of P(x).  A matrix whose size^3 * x.bit_length() is over
+    the rows' sums of these bounds every coefficient of P, and x is over
+    four times that bound, so LaurentPoly.from_digits reads P off P(x)
+    exactly.  A matrix whose size^3 * x.bit_length() is over
     SEIFERT_WORK_CAP raises DiagramTooLarge before the determinant.
     """
 
@@ -82,27 +82,17 @@ class SeifertMatrix:
                 f"{size}x{size} Seifert matrix work estimate {work} exceeds "
                 f"the cap {SEIFERT_WORK_CAP}"
             )
-        value = _det([[a - (c << b) for a, c in zip(row, col)]
-                      for row, col in zip(rows, cols)])
-        x = 1 << b
-        mask, half = x - 1, x >> 1
-        g = size // 2
-        alexander, at_one = {}, 0
-        for e in range(-g, size - g + 1):
-            c = value & mask
-            if c >= half:
-                c -= x
-            if c:
-                alexander[e] = c
-                at_one += c
-            value = (value - c) >> b
+        alexander = LaurentPoly.from_digits(
+            _det([[a - (c << b) for a, c in zip(row, col)]
+                  for row, col in zip(rows, cols)]), b, -(size // 2))
+        at_one = alexander.evaluate(1)
         if at_one != 1:
             n, limit = digit_estimate(at_one), print_limit()
             shown = f"an integer of about {n} digits" if limit and n > limit else at_one
             raise ValidationError(
                 f"det(V - V^T) = {shown} != 1: not a Seifert matrix of a knot"
             )
-        self._alexander = LaurentPoly(alexander)
+        self._alexander = alexander
 
     @property
     def size(self) -> int:
@@ -148,18 +138,6 @@ def _det(m):
                 ri[j] = (piv * ri[j] - f * rk[j]) // prev
         prev = piv
     return sign * m[-1][-1]
-
-
-def index_fields(obj, what: str) -> None:
-    """Read every field of the frozen dataclass obj through operator.index,
-    as SeifertMatrix reads its entries, so a float or a numeric string
-    raises ValidationError (naming `what`) rather than flowing on."""
-    for name, v in vars(obj).items():
-        if type(v) is not int:
-            try:
-                object.__setattr__(obj, name, index(v))
-            except TypeError:
-                raise ValidationError(f"{what} must be integers, got {obj!r}") from None
 
 
 @dataclass(frozen=True)

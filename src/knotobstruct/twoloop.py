@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .diagram import index_fields
 from .errors import PreconditionViolation
 from .laurent import LaurentPoly
-from .seifert import GenusOneSpine, alexander_genus_one, crossing_change, index_fields
+from .seifert import GenusOneSpine, alexander_genus_one, crossing_change
 
 
 @dataclass(frozen=True)

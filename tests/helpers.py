@@ -5,11 +5,18 @@ import sys
 import pytest
 
 from knotobstruct.diagram import PDCode
+from knotobstruct.laurent import LaurentPoly
 
 #: int-to-text conversion has a digit limit from Python 3.10.7 on
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="this Python has no int-to-text digit limit")
+
+
+def inverted(p):
+    """p with its variable inverted: the mirror's bracket or Jones
+    polynomial, and a symmetric polynomial itself."""
+    return LaurentPoly({-e: c for e, c in p.terms.items()})
 
 
 def braid_closure_pd(strands, word):

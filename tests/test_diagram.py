@@ -151,6 +151,15 @@ class TestPretzelParams:
         with pytest.raises(ValidationError, match="must be integers"):
             PretzelParams(*params)
 
+    def test_integer_like_fields_read_as_int(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        params = PretzelParams(True, Three(), -5)
+        assert type(params.p) is int and type(params.q) is int
+        assert params == PretzelParams(1, 3, -5)
+
     def test_crossing_count(self):
         assert pretzel_pd(PretzelParams(5, 7, -3)).n == 15
         assert pretzel_pd(PretzelParams(1, 1, 1)).n == 3

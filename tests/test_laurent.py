@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from knotobstruct.diagram import PretzelParams, parse_pd
 from knotobstruct.kauffman import jones
@@ -116,19 +116,26 @@ class TestDerivative:
         assert v.derivative().derivative().derivative().evaluate(1) == -18
 
 
-class TestSymmetry:
-    """Inverting the variable is the symmetry check: p = p(t^-1)."""
+@st.composite
+def packed(draw):
+    """(bits, digits): every digit has |c| < 2^(bits - 1)."""
+    bits = draw(st.integers(2, 40))
+    half = 1 << bits - 1
+    return bits, draw(st.lists(st.integers(1 - half, half - 1), max_size=8))
 
-    def test_examples(self):
-        p = poly({1: 1, 0: -1, -1: 1})
-        assert p.substitute_power(-1) == p
-        q = poly({2: 1, -1: 1})
-        assert q.substitute_power(-1) != q
 
-    @given(st.fractions(min_value=-9, max_value=9, max_denominator=5))
-    def test_genus_one_shape(self, d):
-        p = poly({1: d, 0: 1 - 2 * d, -1: d})
-        assert p.substitute_power(-1) == p
+class TestFromDigits:
+    """from_digits reads back the digits packed as sum_k c_k 2^(bits*k)."""
+
+    @given(packed(), st.integers(-50, 50), st.sampled_from([1, 4]))
+    @example((2, []), 0, 1)  # value 0 is the zero polynomial
+    @example((5, [3, 0, -15]), -7, 4)  # a negative top digit
+    def test_round_trip(self, case, lo, step):
+        bits, digits = case
+        value = sum(c << bits * k for k, c in enumerate(digits))
+        got = LaurentPoly.from_digits(value, bits, lo, step)
+        assert got == LaurentPoly({lo + step * k: c for k, c in enumerate(digits)})
+        assert all(type(c) is int for c in got.terms.values())
 
 
 class TestTextForm:
