@@ -25,7 +25,7 @@ class DiagramTooLarge(KnotObstructError):
     """Input over a size cap, raised before the capped work starts: the
     brute-force state sum's 20 crossings; the contraction engine's
     open-boundary width and its work estimate, both taken from the
-    crossing order alone; the twist route's |p| + |q| + |r|, also summed
+    contraction plan alone; the twist route's |p| + |q| + |r|, also summed
     over pretzel-scan's Jones rows, and pretzel-scan's row count; or a
     Seifert matrix's 16x16 for the Bareiss elimination of its one
     determinant, det(V - t V^T), and that elimination's size^3 times

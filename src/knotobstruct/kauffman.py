@@ -1,13 +1,16 @@
 """Kauffman bracket and Jones polynomial.
 
 Three engines, all in the bracket variable A:
-- contraction (bracket_contract), the PD-code engine: crossings are added
-  one at a time, and the state maps each matching of the open boundary
-  to its partial state sum, so the cost follows the boundary's width and
-  the crossing count, not 2^n.  One pass over the PDCode's dart table
-  (contraction_plan) gives the crossing order and the slot each open
-  edge holds while it is open; a matching is the tuple of partner
-  slots, and a smoothing edits a copy of it in place.  Each sum is one
+- contraction (bracket_contract), the PD-code engine: twist regions
+  (chains of crossings joined by bigons, a lone crossing being a region
+  of one) are added one at a time, and the state maps each matching of
+  the open boundary to its partial state sum, so the cost follows the
+  boundary's width and the crossing count, not 2^n.  One pass over the
+  PDCode's dart table (contraction_plan) finds the regions and gives
+  their order and the slot each open edge holds while it is open; a
+  matching is the tuple of partner slots, and a region adds its two
+  pairings in TL_2, A^s 1 and A^s' W e with W packed in one integer,
+  each by editing a copy of the matching in place.  Each sum is one
   integer, its coefficients packed as base-2^(n + 2) digits in steps of
   A^4, exact because the exponents on one matching share a class mod 4
   and, by Thistlethwaite's spanning-tree expansion, no coefficient of
@@ -54,13 +57,13 @@ BRUTE_CAP = 20
 CONTRACT_WIDTH_CAP = 14
 
 #: largest contraction_plan work estimate bracket_contract accepts; time
-#: ran at 0.03-0.09 us per unit on closed braids and pretzel diagrams of up
-#: to 255 crossings, so (s1...s6)^22 (3.2e6 units, 0.11-0.13 s) passes and
-#: (s1...s6)^30 (6.3e6 units, 0.19-0.27 s) does not.  A coefficient takes
-#: n + 2 bits, so past a few hundred crossings a unit costs more: 0.07-0.08
-#: us on P(301,301,-301) (903 crossings, 1.2e6 units, 83-100 ms) and 0.28-
-#: 0.33 us on P(1,1,1861) and T(2,1869), whose 3.5e6 units took 0.98-1.00 s
-#: and 1.15-1.16 s (2-core x86-64 VM, Python 3.11.7)
+#: ran at 0.02-0.06 us per unit on closed braids and pretzel diagrams of up
+#: to 255 crossings, so (s1...s6)^22 (3.2e6 units, 0.09 s) passes and
+#: (s1...s6)^30 (6.3e6 units, 0.15 s) does not.  A coefficient takes n + 2
+#: bits, so past a few hundred crossings a unit costs more: 0.07 us on
+#: P(301,301,-301) (903 crossings, 0.8e6 units, 54-57 ms) and 0.08 us on
+#: P(1,1,1861) and T(2,1869), whose 3.5e6 units took 0.27-0.30 s and
+#: 0.28-0.29 s (2-core x86-64 VM, Python 3.11.7)
 CONTRACT_WORK_CAP = 3_500_000
 
 #: largest |p| + |q| + |r| the twist route accepts; at a total of 249,999
@@ -132,49 +135,112 @@ def _catalan(k: int) -> int:
 
 
 def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
-    """Greedy crossing order for bracket_contract, its widest boundary, an
-    estimate of its work, and the slot moves along the order with the
-    number of slots they use: one pass over the dart table pd.partner.
+    """Greedy order of twist regions for bracket_contract, its widest
+    boundary, an estimate of its work, and the slot moves along the order
+    with the number of slots they use: one pass over the dart table
+    pd.partner.
+
+    A twist region is a maximal chain c_1, ..., c_k of crossings in which
+    c_t and c_(t+1) bound a bigon, a length-2 orbit of the face map d ->
+    partner[d] - 1 (the previous slot of the same crossing), and every
+    bigon corner has the same slot parity p; a corner of slots (s, s+1)
+    has parity s mod 2.  Two bigons on adjacent corners of a crossing
+    would share the edge between them, so the same neighbour, and the
+    strand straight through the crossing would close up through that
+    neighbour into a loop of its own, which a knot diagram has not: a
+    crossing's bigons sit on opposite corners, of one parity.  A bigon
+    whose two corners differ in parity (an R2 finger) joins nothing, and a
+    crossing in no chain is a region of its own.  The chain may close up
+    (T(2,m)); it is then cut at the bigon between its last crossing and
+    its first.  A region meets the rest of the diagram at four outer
+    darts: c_1's corner away from c_2 and c_k's corner away from c_(k-1),
+    the quad's slots (a, b) and (c, d) for a lone crossing.
 
     The open boundary is the set of edges seen at one end so far; the
-    next crossing is the first one sharing the most edges with it.  An
-    edge enters the boundary at a dart whose partner is not yet open,
-    which adds one to the count of the partner's crossing, and it leaves
-    only at that crossing.  `frontier` keeps these counts for the
-    unordered crossings that touch the boundary, at most one per
-    boundary edge, so a step costs O(width) and the order O(n * width).
-    After the i-th crossing a boundary of w edges has up to Catalan(w/2)
-    matchings, each holding a polynomial of O(i) terms, so the work
-    estimate is the sum of Catalan(w_i/2) * i over the order.
+    next region is the first one (by its lowest crossing) sharing the
+    most edges with it.  An edge enters the boundary at an outer dart
+    whose partner is not yet open, which adds one to the count of the
+    partner's region, and it leaves only at that region.  `frontier`
+    keeps these counts for the unordered regions that touch the boundary,
+    at most one per boundary edge, so a step costs O(width), and finding
+    the regions O(n).  After a step of k crossings, with i placed in all,
+    a boundary of w edges has up to Catalan(w/2) matchings, each holding a
+    polynomial of O(i) terms that the step multiplies by one of k terms,
+    so the work estimate is the sum of Catalan(w/2) * i * k over the
+    order.  With no bigons every region is one crossing, and this is the
+    crossing-by-crossing order and estimate.
 
     An edge takes a free slot when it enters the boundary and frees it
     when it leaves, so a slot names one edge for as long as the edge is
-    open, and every state of a step reads the same slots.  A kink's edge
+    open, and every state of a step reads the same slots.  An edge whose
+    two ends are outer darts of one region (a kink's, or the cut bigon's)
     takes a slot that it frees at the same step.  Slots freed at a step
-    are taken again only at later steps.  A step is ((shift, x1, y1, x2,
-    y2) for the A-smoothing, shift +1, and the same for the B-smoothing,
-    shift -1; the slots freed there), where x1-y1 and x2-y2 pair the
-    quad's slots as bracket_brute pairs its labels.
+    are taken again only at later steps.  A step is ((shift, j, x1, y1,
+    x2, y2) for the identity pairing of the outer darts, with j = 1, and
+    the same for the cup-cap pairing, with j = +-k; the slots freed there).
+    bracket_contract weighs a pairing by A^shift _twist_weight(j, B), see
+    there.  The identity pairing follows the strands through the chain,
+    and the cup-cap pairing joins the two outer darts at each end; at
+    k = 1 they are bracket_brute's A- and B-smoothings.  `order` lists the
+    crossings region by region, each in chain order.
 
     It starts at crossing 0.  A validated PDCode is one knot, whose walk
-    1, 2, ..., 2n meets every crossing, so until the last one an edge
-    joins the ordered crossings to an unordered one, held in `frontier`.
+    1, 2, ..., 2n meets every crossing, so until the last region an edge
+    joins the ordered regions to an unordered one, held in `frontier`.
     """
     partner = pd.partner
-    placed = [False] * pd.n
+    n = pd.n
+    # link[d] = e when the corner of slots (d, d + 1) bounds a bigon whose
+    # corner at another crossing is (e, e + 1), of the same parity
+    turn = [q - 1 if q & 3 else q + 3 for q in partner]  # the face map
+    link = [-1] * len(partner)
+    parity = [0] * n
+    for d, e in enumerate(turn):
+        if turn[e] == d and (d ^ e) > 3 and not (d ^ e) & 1:
+            link[d] = e
+            parity[d >> 2] = d & 1
+    region_of = [-1] * n
+    # per region: its chain, outer darts o1..o4, whether the identity pairs
+    # o1 with o3, its two shifts and the cup-cap's signed k
+    regions = []
+    for i in range(n):
+        if region_of[i] >= 0:
+            continue
+        c = 4 * i + parity[i]  # a corner of the region's parity
+        while link[c] >= 0 and link[c] >> 2 != i:  # back to the chain's end
+            c = link[c] ^ 2
+        first = link[c] if link[c] >= 0 else c
+        s = first >> 2
+        chain = [s]
+        c = first ^ 2
+        while link[c] >= 0 and link[c] >> 2 != s:
+            c = link[c]
+            chain.append(c >> 2)
+            c ^= 2
+        for j in chain:
+            region_of[j] = len(regions)
+        k, p = len(chain), first & 1
+        flip = 1 if p else 3  # a dart's mate in the through smoothing
+        d = first ^ flip
+        for _ in range(k - 1):  # follow the strand from first through the chain
+            d = partner[d] ^ flip
+        regions.append((chain, (first, first ^ (4 - flip), c, c ^ (4 - flip)), d == c,
+                        (-k, 2 - k) if p else (k, 2 - 3 * k), k if p or k % 2 else -k))
+    placed = [False] * len(regions)
     slot_at = [-1] * len(partner)  # dart where an edge entered -> its slot
-    frontier = {0: 0}  # unordered crossing -> edges on boundary
+    frontier = {0: 0}  # unordered region -> edges on boundary
     free: list[int] = []
     order, plan = [], []
     size = width = work = w = 0
-    for step in range(1, pd.n + 1):
+    for _ in regions:
         most = max(frontier.values())
-        best = min([i for i, k in frontier.items() if k == most])
+        best = min([r for r, c in frontier.items() if c == most])
         del frontier[best]
         placed[best] = True
-        order.append(best)
+        chain, outer, straight, (id_shift, cc_shift), signed = regions[best]
+        order += chain
         slots, freed = [], []
-        for dart in range(4 * best, 4 * best + 4):
+        for dart in outer:
             other = partner[dart]
             s = slot_at[other]
             if s < 0:  # the edge enters the boundary here
@@ -184,46 +250,82 @@ def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
                     s, size = size, size + 1
                 slot_at[dart] = s
                 w += 1
-                j = other >> 2
+                j = region_of[other >> 2]
                 if not placed[j]:
                     frontier[j] = frontier.get(j, 0) + 1
-            else:  # it leaves: its other end is open, or here (a kink)
+            else:  # it leaves: its other end is open, or in this region
                 freed.append(s)
                 w -= 1
             slots.append(s)
         a, b, c, d = slots
-        plan.append((((1, a, d, b, c), (-1, a, b, c, d)), tuple(freed)))
+        x, y = (c, d) if straight else (d, c)
+        plan.append((((id_shift, 1, a, x, b, y), (cc_shift, signed, a, b, c, d)),
+                     tuple(freed)))
         free += freed
         width = max(width, w)
-        work += _catalan(w // 2) * step
+        work += _catalan(w // 2) * len(order) * len(chain)
     return order, width, work, plan, size
 
 
+def _twist_weight(k: int, bits: int) -> int:
+    """W_k = sum_(j<k) (-X)^j at X = 2^bits, and -W_-k for k < 0: the
+    packed weight of a twist region's cup-cap pairing (bracket_contract).
+    Built by doubling, W_2m = W_m + (-X)^m W_m and W_(m+1) = W_m + (-X)^m,
+    so in time linear in its size."""
+    w = m = 0
+    for bit in bin(abs(k))[2:]:
+        w += -(w << m * bits) if m & 1 else w << m * bits
+        m *= 2
+        if bit == "1":
+            w += 1 << m * bits
+            m += 1
+    return w if k > 0 else -w
+
+
 def bracket_contract(pd: PDCode) -> LaurentPoly:
-    """Kauffman bracket by adding one crossing at a time (Bar-Natan's
+    """Kauffman bracket by adding one twist region at a time (Bar-Natan's
     divide-and-conquer contraction, for the bracket).
 
-    contraction_plan reads the crossing order and each open edge's slot
+    contraction_plan reads the region order and each open edge's slot
     off the dart table pd.partner in one pass.  A matching of the open
     boundary is the tuple p with p[s] the slot at the other end of the
-    open arc at slot s, and p[s] = s for a free slot.  One smoothing
-    copies p, joins its two slot pairs (the far ends of the two arcs
-    meet, or they were one arc and a loop closes), resets the slots
-    freed there and makes a tuple again.  Smoothings pair as in
-    bracket_brute.  Each loop multiplies by delta = -A^-2 (1 + A^4).
-    Every state sum term closes at least one loop at the last crossing,
-    which is counted once less there: the matching with every slot free
-    then holds <D>.
+    open arc at slot s, and p[s] = s for a free slot.  One pairing of a
+    region's outer darts copies p, joins its two slot pairs (the far ends
+    of the two arcs meet, or they were one arc and a loop closes), resets
+    the slots freed there and makes a tuple again.  Each loop multiplies
+    by delta = -A^-2 (1 + A^4).  Every state sum term closes at least one
+    loop at the last step, which is counted once less there: the
+    matching with every slot free then holds <D>.
+
+    A region c_1, ..., c_k is a 2-tangle, so its smoothings sum to x 1 +
+    y e in the Temperley-Lieb algebra TL_2 (Kauffman, Topology 26, 1987):
+    1 is the identity pairing, e the cup-cap pairing, and e^2 = delta e.
+    At each crossing the through smoothing, which opens both bigon
+    corners, is 1 and the other smoothing e.  On bigons of odd corners
+    (b-c and d-a) the through smoothing joins a-b and c-d, bracket_brute's
+    B-smoothing, so a crossing is A^-1 + A e; on even corners (a-b and
+    c-d) it is the A-smoothing, A + A^-1 e.  The factors commute, and
+    the characters e -> 0 and e -> delta give prod (x + y e) = x^k +
+    ((x + delta y)^k - x^k) / delta e.  With x + delta y = -A^3 (odd) or
+    -A^-3 (even), W_k = sum_(j<k) (-A^4)^j = (1 - (-A^4)^k) / (1 + A^4)
+    and (1 - (-A^4)^-k) / (1 + A^4) = -(-1)^k A^-4k W_k this is
+      odd parity:  A^-k 1 + A^(2 - k) W_k e,
+      even parity: A^k 1 + (-1)^(k + 1) A^(2 - 3k) W_k e,
+    the plan's two shifts with the multiplier _twist_weight(+-k).  At
+    k = 1, W_1 = 1, and even parity is the crossing step bracket_brute
+    takes: a-d, b-c at A and a-b, c-d at A^-1.
 
     The state maps each matching to (lo, v): the partial state sum
     sum_k c_k A^(lo + 4k), packed as v = sum_k c_k X^k at X = 2^B,
-    B = n + 2.  A smoothing with shift +-1 that closes L loops maps it
-    to (lo + shift - 2L, v), (.., -(1 + X) v) or (.., (1 + X)^2 v), and
-    two sums on one matching add once the lower lo is taken for both.
-    LaurentPoly.from_digits decodes the last v into <D>.  Two facts make
-    this exact:
+    B = n + 2.  A pairing with shift s and multiplier W that closes L
+    loops maps it to (lo + s - 2L, W v), (.., -(1 + X) W v) or
+    (.., (1 + X)^2 W v), and two sums on one matching add once the lower
+    lo is taken for both.  LaurentPoly.from_digits decodes the last v
+    into <D>.  Two facts make this exact:
 
-    - The exponents on one matching share one class mod 4.  Close the
+    - The exponents on one matching share one class mod 4.  A region
+      step is the sum of the states of its k crossings with the inner
+      loops closed, so it suffices to show this for states.  Close the
       partial diagram with one fixed smoothing of the crossings still to
       come.  A state with b B-smoothings and L loops so far then has L
       + L' loops in all, where L' depends only on the matching.  On
@@ -270,11 +372,13 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     bits = n + 2
     free = tuple(range(size))
     states = {free: (0, 1)}
-    for step, (smoothings, freed) in enumerate(plan, 1):
-        start = -1 if step == n else 0  # the last loop is counted once less
+    for step, (pairings, freed) in enumerate(plan, 1):
+        start = -1 if step == len(plan) else 0  # the last loop counted once less
+        pairings = [(shift, _twist_weight(k, bits), *slots)
+                    for shift, k, *slots in pairings]
         out: dict[tuple[int, ...], tuple[int, int]] = {}
         for key, (lo, v) in states.items():
-            for shift, x1, y1, x2, y2 in smoothings:
+            for shift, mult, x1, y1, x2, y2 in pairings:
                 p = list(key)
                 loops = start
                 u = p[x1]
@@ -295,12 +399,11 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
                     p[s] = s
                 k = tuple(p)
                 e = lo + shift - 2 * loops
-                if not loops:
-                    t = v
-                elif loops == 1:
-                    t = -v - (v << bits)
-                else:
-                    t = v + (v << bits + 1) + (v << 2 * bits)
+                t = v if mult == 1 else v * mult
+                if loops == 1:
+                    t = -t - (t << bits)
+                elif loops:
+                    t = t + (t << bits + 1) + (t << 2 * bits)
                 old = out.get(k)
                 if old is None:
                     out[k] = (e, t)

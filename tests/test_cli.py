@@ -256,7 +256,7 @@ class TestInvariants:
         assert f"exceeds the cap {CONTRACT_WORK_CAP}" in result.stderr
 
     def test_many_crossings_exit_2_before_ordering(self):
-        # 3003 crossings at width 6: the greedy order alone took 1.6 s
+        # 3003 crossings: the O(n^2) greedy order alone took 1.6 s
         pd = pretzel_pd(PretzelParams(1001, 1001, -1001))
         text = render_pd(pd)
         start = time.perf_counter()

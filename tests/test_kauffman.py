@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from knotobstruct import kauffman
 from knotobstruct.diagram import PretzelParams, mirror, parse_pd, pretzel_pd
-from knotobstruct.errors import DiagramTooLarge, NormalizationError
+from knotobstruct.errors import DiagramTooLarge, NormalizationError, ValidationError
 from knotobstruct.kauffman import (
     BRUTE_CAP,
     CONTRACT_WORK_CAP,
@@ -31,7 +31,7 @@ from knotobstruct.laurent import LaurentPoly
 from knotobstruct.obstruction import jones_values
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
 from helpers import braid_closure_pd, inverted
-from test_moves import CURLS, curl, fingered, moved
+from test_moves import CURLS, FINGERS, curl, finger, fingered, moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
 F = LaurentPoly({0: 1, 4: 1})  # 1 + A^4
@@ -75,27 +75,39 @@ class TestBracketContract:
         assert bracket_contract(TREFOIL) == TREFOIL_BRACKET
 
     def test_exponent_class_mismatch_raises(self, monkeypatch):
-        # an A-smoothing worth A^2 in place of A puts the two smoothings of
-        # a crossing in different classes mod 4, and they meet at the end
+        # one pairing a power of A off puts a step's two pairings in
+        # different classes mod 4, and they meet at the end: the cup-cap
+        # pairing of a region step (the trefoil is one cyclic region, the
+        # figure-eight two regions of two), and the A-smoothing of every
+        # lone crossing of the bigon-free closed braid (s1 s2)^4
+        braid = braid_closure_pd(3, [1, 2] * 4)
         planner = kauffman.contraction_plan
+        assert len(planner(TREFOIL)[3]) == 1 and len(planner(FIG8)[3]) == 2
+        assert len(planner(braid)[3]) == braid.n
 
-        def shifted(pd):
-            order, width, work, steps, size = planner(pd)
-            steps = [(((2, *a[1:]), b), freed) for (a, b), freed in steps]
-            return order, width, work, steps, size
+        def shifted(pairing):
+            def plan(pd):
+                order, width, work, steps, size = planner(pd)
+                steps = [(tuple((shift + (i == pairing), *rest)
+                                for i, (shift, *rest) in enumerate(pairings)), freed)
+                         for pairings, freed in steps]
+                return order, width, work, steps, size
+            return plan
 
-        monkeypatch.setattr(kauffman, "contraction_plan", shifted)
-        for pd in (TREFOIL, FIG8):
-            with pytest.raises(NormalizationError, match="class mod 4"):
-                bracket_contract(pd)
+        for pairing, pds in ((1, (TREFOIL, FIG8)), (0, (braid, KINKS[0]))):
+            monkeypatch.setattr(kauffman, "contraction_plan", shifted(pairing))
+            for pd in pds:
+                with pytest.raises(NormalizationError, match="class mod 4"):
+                    bracket_contract(pd)
 
     def test_large_pretzel_matches_twist_route(self):
-        # 255 crossings, far past the brute-force cap; the greedy order
-        # keeps a pretzel's open boundary at six edges
+        # 255 crossings, far past the brute-force cap; each column is one
+        # twist region, so the greedy order keeps the open boundary at four
+        # edges
         params = PretzelParams(101, 103, -51)
         pd = pretzel_pd(params)
-        _, width, work, _, _ = contraction_plan(pd)
-        assert width == 6 and work < CONTRACT_WORK_CAP
+        _, width, work, steps, _ = contraction_plan(pd)
+        assert width == 4 and len(steps) == 3 and work < CONTRACT_WORK_CAP
         assert bracket_contract(pd) == bracket_twist(params)
 
 
@@ -146,9 +158,10 @@ class TestMixedBraids:
 
 
 def greedy_order(pd):
-    """contraction_plan's (order, width, work) as first written, the
-    reference it must match: a max over every remaining crossing at each
-    step, O(n^2)."""
+    """contraction_plan's (order, width, work) crossing by crossing, as
+    first written, the reference it must match where no bigon makes a
+    twist region: a max over every remaining crossing at each step,
+    O(n^2)."""
     remaining = list(range(pd.n))
     boundary = set()
     order = []
@@ -184,16 +197,123 @@ def closed_braids():
 BRAIDS = closed_braids()
 
 
+def faces(pd):
+    """The faces of pd as lists of corners (i, s), the corner of slots
+    (s, s + 1) at crossing i, found from the labels alone by the face
+    walk: along an edge to its other end, then one slot back."""
+    ends = {}
+    for i, quad in enumerate(pd.crossings):
+        for s, label in enumerate(quad):
+            ends.setdefault(label, []).append((i, s))
+    out, seen = [], set()
+    for corner in itertools.product(range(pd.n), range(4)):
+        face = []
+        while corner not in seen:
+            seen.add(corner)
+            face.append(corner)
+            i, s = corner
+            j, t = next(end for end in ends[pd.crossings[i][s]] if end != (i, s))
+            corner = (j, (t - 1) % 4)
+        if face:
+            out.append(face)
+    return out
+
+
+def bigons(pd):
+    """Every bigon of pd as (i, s, j, t, same parity): a face of two
+    corners, (i, s) and (j, t), at two crossings."""
+    return [(i, s, j, t, s % 2 == t % 2)
+            for face in faces(pd) if len(face) == 2
+            for (i, s), (j, t) in [face] if i != j]
+
+
+def twist_regions(pd):
+    """The crossings' partition into twist regions, listed by their lowest
+    crossing: the parts joined by the bigons whose two corners have one
+    slot parity."""
+    part = list(range(pd.n))
+
+    def root(i):
+        while part[i] != i:
+            i = part[i]
+        return i
+
+    for i, _, j, _, same in bigons(pd):
+        if same:
+            part[root(j)] = root(i)
+    regions = {}
+    for i in range(pd.n):
+        regions.setdefault(root(i), []).append(i)
+    return sorted(regions.values())
+
+
+def region_greedy(pd):
+    """contraction_plan's (regions in order, width, work) by the greedy of
+    greedy_order over twist_regions(pd): the next region is the first one
+    sharing the most labels with the boundary, and a region of k crossings
+    placed with i crossings in all adds Catalan(w/2) * i * k."""
+    regions = twist_regions(pd)
+    labels = [{e for i in region for e in pd.crossings[i]} for region in regions]
+    remaining = list(range(len(regions)))
+    boundary = set()
+    order = []
+    width = work = placed = 0
+    while remaining:
+        best = max(remaining, key=lambda r: len(boundary & labels[r]))
+        remaining.remove(best)
+        order.append(regions[best])
+        for i in regions[best]:
+            for e in pd.crossings[i]:
+                if e in boundary:
+                    boundary.remove(e)
+                else:
+                    boundary.add(e)
+        placed += len(regions[best])
+        width = max(width, len(boundary))
+        work += _catalan(len(boundary) // 2) * placed * len(regions[best])
+    return order, width, work
+
+
+def assert_plan_matches_regions(pd):
+    """contraction_plan places region_greedy's regions in its order, at its
+    width and work, one step per region."""
+    order, width, work, steps, _ = contraction_plan(pd)
+    regions, ref_width, ref_work = region_greedy(pd)
+    assert (width, work, len(steps)) == (ref_width, ref_work, len(regions)), pd
+    assert sorted(order) == list(range(pd.n)), pd
+    placed = iter(order)
+    assert [set(itertools.islice(placed, len(r))) for r in regions] == [
+        set(r) for r in regions], pd
+
+
+#: closed braids with no face of fewer than three sides, so no bigon
+#: (every twist region a lone crossing); with the four curls, BIGON_FREE
+BIGON_FREE_BRAIDS = [pd for pd in BRAIDS if min(map(len, faces(pd))) >= 3]
+BIGON_FREE = BIGON_FREE_BRAIDS + KINKS
+
+
 class TestContractionOrder:
     def test_matches_reference_greedy(self):
-        # gate 4's pretzel corpus, its mirrors, closed braids and curls
+        # with no bigons the regions are the crossings, and the order,
+        # width and work are greedy_order's; with them, region_greedy's
+        assert len(BIGON_FREE_BRAIDS) >= 30
+        for pd in BIGON_FREE + [parse_pd("")]:
+            assert contraction_plan(pd)[:3] == greedy_order(pd), pd
         pds = [pretzel_pd(params) for params in pretzels(13)]
         for pd in pds + [mirror(pd) for pd in pds] + BRAIDS + KINKS + [parse_pd("")]:
-            assert contraction_plan(pd)[:3] == greedy_order(pd), pd
+            assert_plan_matches_regions(pd)
 
     @given(moved([pretzel_pd(params) for params in pretzels(7)] + BRAIDS[:20], 4))
     def test_relabelled_and_curled_match_reference(self, case):
         _, pd, _ = case
+        assert_plan_matches_regions(pd)
+
+    @given(moved(BIGON_FREE_BRAIDS, 4))
+    def test_curled_bigon_free_match_greedy_order(self, case):
+        # a curl adds a monogon and makes no face smaller, so only a curl
+        # on a curl's loop makes a bigon
+        _, pd, _ = case
+        assume(not bigons(pd))
         assert contraction_plan(pd)[:3] == greedy_order(pd)
 
     @given(fingered([pretzel_pd(params) for params in pretzels(7)]
@@ -202,7 +322,95 @@ class TestContractionOrder:
         # an R2 finger adds two crossings joined by two edges; the knot is
         # still one walk, so the frontier is never empty mid-way
         _, pd = case
-        assert contraction_plan(pd)[:3] == greedy_order(pd)
+        assert_plan_matches_regions(pd)
+
+
+class TestTwistRegions:
+    """bracket_contract against the brute-force state sum on each kind of
+    twist region contraction_plan finds, and its region counts."""
+
+    def test_pretzel_regions_of_both_parities(self):
+        # every sign pattern of entries of size 3 to 7, at most 13
+        # crossings: three regions, with bigons on odd corners (positive
+        # entries) and on even ones (negative entries)
+        parities = set()
+        for sizes in [(3, 3, 3), (3, 3, 5), (3, 5, 5), (3, 3, 7), (5, 3, 3)]:
+            for signs in itertools.product((1, -1), repeat=3):
+                pd = pretzel_pd(PretzelParams(*(v * s for v, s in zip(sizes, signs))))
+                steps = contraction_plan(pd)[3]
+                assert len(steps) == 3
+                parities |= {pairings[0][0] < 0 for pairings, _ in steps}
+                assert bracket_contract(pd) == bracket_brute(pd), pd
+        assert parities == {True, False}
+
+    @pytest.mark.parametrize("m", range(1, 16, 2))
+    def test_cyclic_region(self, m):
+        # T(2, m) and its mirror are one region, closed up; so are P(1,1,1)
+        # and the trefoil
+        for pd in (braid_closure_pd(2, [1] * m), braid_closure_pd(2, [-1] * m)):
+            # one step, its cup-cap pairing weighted by W_m
+            assert [pairings[1][1] for pairings, _ in contraction_plan(pd)[3]] == [m]
+            assert bracket_contract(pd) == bracket_brute(pd), pd
+        for pd in (pretzel_pd(PretzelParams(1, 1, 1)), pretzel_pd(
+                PretzelParams(-1, -1, -1)), TREFOIL, mirror(TREFOIL)):
+            assert len(contraction_plan(pd)[3]) == 1
+            assert bracket_contract(pd) == bracket_brute(pd), pd
+
+    def test_regions_beside_curls(self):
+        # every curl on every edge: a curl on a bigon's edge splits its
+        # region, and one on an outer edge sits beside it
+        for pd in (pretzel_pd(PretzelParams(3, -3, 5)), braid_closure_pd(2, [1] * 7)):
+            for edge in range(1, 2 * pd.n + 1):
+                for kind in CURLS:
+                    curled = curl(pd, edge, kind)
+                    assert_plan_matches_regions(curled)
+                    assert bracket_contract(curled) == bracket_brute(curled), curled
+
+    def test_fingers_stay_separate_steps(self):
+        # an R2 finger's bigon has corners of both parities: its two
+        # crossings (the last two) stay in different regions
+        for base in (TREFOIL, FIG8, pretzel_pd(PretzelParams(3, -3, 3))):
+            for ci in range(base.n):
+                for slot in range(4):
+                    quad = base.crossings[ci]
+                    if quad[slot] == quad[(slot + 1) % 4]:
+                        continue
+                    for kind in FINGERS:
+                        pd = finger(base, ci, slot, kind)
+                        x1, x2 = pd.n - 2, pd.n - 1
+                        assert any({i, j} == {x1, x2} and not same
+                                   for i, _, j, _, same in bigons(pd))
+                        assert not any({x1, x2} <= set(r) for r in twist_regions(pd))
+                        assert_plan_matches_regions(pd)
+                        assert bracket_contract(pd) == bracket_brute(pd), pd
+
+    def test_bigons_never_on_adjacent_corners(self):
+        # two bigons on adjacent corners of a crossing share their middle
+        # edge, so one neighbour, and the strand straight through the
+        # crossing closes up through it: a link, which PDCode refuses.
+        # The Hopf link's diagram has a bigon on every corner.
+        with pytest.raises(ValidationError, match="one oriented knot"):
+            parse_pd("X(1,3,2,4); X(3,1,4,2)")
+        pds = [pretzel_pd(params) for params in pretzels(9)]
+        for pd in pds + BRAIDS + [finger(TREFOIL, 0, s, k) for s in range(4)
+                                  for k in FINGERS]:
+            corners = {}
+            for i, s, j, t, _ in bigons(pd):
+                corners.setdefault(i, []).append(s)
+                corners.setdefault(j, []).append(t)
+            assert all(len(c) <= 2 and (len(c) < 2 or (c[0] - c[1]) % 4 == 2)
+                       for c in corners.values()), pd
+
+    def test_region_counts(self):
+        # three for a pretzel whose entries are all of size 3 or more, one
+        # for T(2, m), and one per crossing on a bigon-free braid
+        for params in pretzels(15):
+            if min(map(abs, params.as_tuple())) >= 3:
+                assert len(contraction_plan(pretzel_pd(params))[3]) == 3, params
+        for m in range(3, 40, 2):
+            assert len(contraction_plan(braid_closure_pd(2, [1] * m))[3]) == 1
+        for pd in BIGON_FREE:
+            assert len(contraction_plan(pd)[3]) == pd.n
 
 
 def tangle_polys(n):
@@ -400,7 +608,7 @@ class TestBracketTwist:
 
     @given(st.tuples(*[st.integers(-20, 20).map(lambda v: 2 * v + 1)] * 3))
     def test_matches_contraction(self, pqr):
-        # entries odd with |v| <= 41; pretzel_pd contracts at width 6
+        # entries odd with |v| <= 41; pretzel_pd contracts at width 4 or less
         params = PretzelParams(*pqr)
         assert bracket_twist(params) == bracket_contract(pretzel_pd(params))
 
