@@ -25,18 +25,25 @@ class PDCode:
     """Crossing list of a knot diagram; no crossings is the round unknot.
 
     Construction validates (see validate_pd), so every PDCode is a
-    single oriented knot diagram, and keeps validate_pd's dart table:
-    partner[4i + s] is the other dart carrying the label at slot s of
-    crossing i (slots 0..3 are the quad's a, b, c, d), so dart d's edge
-    runs from crossing d >> 2 to crossing partner[d] >> 2.  The table is
-    derived from the crossings, so it takes no part in equality or hashing.
+    single oriented knot diagram, and keeps what validate_pd reads on the
+    way: the dart table, partner[4i + s] the other dart carrying the label
+    at slot s of crossing i (slots 0..3 are the quad's a, b, c, d), so
+    dart d's edge runs from crossing d >> 2 to crossing partner[d] >> 2;
+    signs[i], crossing i's sign; and the faces, each the tuple of darts of
+    one orbit of d -> partner[d] - 1 (the previous slot of the same
+    crossing), its corners in walk order, so its length is its number of
+    sides.  All three are derived from the crossings, so they take no part
+    in equality, hashing or repr.
     """
 
     crossings: tuple[Quad, ...]
     partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "partner", validate_pd(self))
+        for name, value in zip(("partner", "signs", "faces"), validate_pd(self)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -70,10 +77,7 @@ class PretzelParams:
     r: int
 
     def __post_init__(self):
-        # all plain ints, the common case, skip the call: every scan row and
-        # every pretzel batch row builds one
-        if not (type(self.p) is type(self.q) is type(self.r) is int):
-            index_fields(self, "pretzel parameters")
+        index_fields(self, "pretzel parameters")
         if not self.p % 2 or not self.q % 2 or not self.r % 2:
             raise ValidationError(f"pretzel parameters must be odd, got {self!r}")
 
@@ -128,24 +132,31 @@ def _pair_darts(flat: list[int], m: int) -> list[int] | None:
     return partner
 
 
-def validate_pd(pd: PDCode) -> tuple[int, ...]:
+def validate_pd(pd: PDCode) -> tuple[tuple[int, ...], tuple[int, ...],
+                                     tuple[tuple[int, ...], ...]]:
     """Check every crossing against the PD convention, one at a time, and
-    return the dart table: partner[4i + s] is the other dart carrying the
-    label at slot s of quad i, where slots s = 0, 1, 2, 3 are the quad's
-    a, b, c, d (quad i's own counterclockwise order, not pretzel_pd's
-    compass slots).
+    return (partner, signs, faces): the dart table, partner[4i + s] the
+    other dart carrying the label at slot s of quad i, where slots s = 0,
+    1, 2, 3 are the quad's a, b, c, d (quad i's own counterclockwise
+    order, not pretzel_pd's compass slots); each crossing's sign; and the
+    faces as tuples of darts.  This is the one place that reads signs
+    and faces off the labels; PDCode keeps all three.
 
     The labels are 1..2n, each used twice, which the one pass that pairs
     the darts (_pair_darts) checks.  Each quad (a, b, c, d) starts at its
-    incoming under-strand, so c follows a; its over-strand direction is
-    readable (see crossing_sign); and every label enters exactly one
-    crossing, at a or at the over-strand's incoming slot.  Together these
-    force the walk 1 -> 2 -> ... -> 2n -> 1, so a link or a half-turned
-    quad raises ValidationError.  Last, the faces are the orbits of
-    "follow the edge to the partner dart, then turn to the previous slot"
-    on the darts; by Euler's formula the connected diagram is planar
-    exactly when n >= 1 crossings give n + 2 faces, so a virtual knot's
-    code raises ValidationError too.
+    incoming under-strand, so c follows a.  Its sign is +1 when the
+    over-strand runs b -> d (d follows b) and -1 when it runs d -> b; at
+    n = 1 both read true, and the curl's repeated label decides (+1 when
+    b = c), and a direction that neither reads raises ValidationError.
+    The sign is jointly pinned with the bracket's smoothing convention by
+    the trefoil oracle.  Every label enters exactly one crossing, at a or
+    at the over-strand's incoming slot.  Together these force the walk
+    1 -> 2 -> ... -> 2n -> 1, so a link or a half-turned quad raises
+    ValidationError.  Last, the faces are the orbits of "follow the edge
+    to the partner dart, then turn to the previous slot" on the darts; by
+    Euler's formula the connected diagram is planar exactly when n >= 1
+    crossings give n + 2 faces, so a virtual knot's code raises
+    ValidationError too.
     """
     n = pd.n
     m = 2 * n
@@ -159,6 +170,7 @@ def validate_pd(pd: PDCode) -> tuple[int, ...]:
             f"edge labels must be 1..{m}, each appearing exactly twice"
         )
     entered = set()
+    signs = []
     for quad in pd.crossings:
         a, b, c, d = quad
         if c != a % m + 1:
@@ -166,60 +178,46 @@ def validate_pd(pd: PDCode) -> tuple[int, ...]:
                 f"X{quad} must start at its incoming under-strand: "
                 f"{c} does not follow {a}"
             )
-        entered.update((a, b if crossing_sign(quad, n) > 0 else d))
+        if n == 1:
+            sign = 1 if b == c else -1
+        elif d == b % m + 1:
+            sign = 1
+        elif b == d % m + 1:
+            sign = -1
+        else:
+            raise ValidationError(f"over-strand direction unreadable at X{quad}")
+        signs.append(sign)
+        entered.update((a, b if sign > 0 else d))
     if len(entered) != m:
         raise ValidationError("the edge labels do not trace out one oriented knot")
     # a dart's turn: to its partner, then the previous slot
     turn = [p - 1 if p % 4 else p + 3 for p in partner]
-    faces = 0
+    faces = []
     for dart in range(4 * n):
         if turn[dart] >= 0:
-            faces += 1
+            face = []
             while turn[dart] >= 0:  # walk the face, marking its darts -1
+                face.append(dart)
                 turn[dart], dart = -1, turn[dart]
-    if n and faces != n + 2:
+            faces.append(tuple(face))
+    if n and len(faces) != n + 2:
         raise ValidationError(
-            f"the code has {faces} faces, not the {n + 2} of a planar diagram "
-            f"with {n} crossings: it is not planar (a virtual knot)"
+            f"the code has {len(faces)} faces, not the {n + 2} of a planar "
+            f"diagram with {n} crossings: it is not planar (a virtual knot)"
         )
-    return tuple(partner)
-
-
-def crossing_sign(quad: Quad, n: int) -> int:
-    """Sign of one crossing: +1 when the over-strand runs b -> d, -1 when
-    it runs d -> b, read off the cyclic successor rule.
-
-    At n = 1 both directions read true, and the curl's repeated label
-    decides.  Jointly pinned with the bracket's smoothing convention by
-    the trefoil oracle.
-    """
-    a, b, c, d = quad
-    if n == 1:
-        return 1 if b == c else -1
-    if d == b % (2 * n) + 1:
-        return 1
-    if b == d % (2 * n) + 1:
-        return -1
-    raise ValidationError(f"over-strand direction unreadable at X{quad}")
+    return tuple(partner), tuple(signs), tuple(faces)
 
 
 def writhe(pd: PDCode) -> int:
-    """Sum of crossing signs of an oriented PD code."""
-    n = pd.n
-    return sum(crossing_sign(q, n) for q in pd.crossings)
+    """Sum of crossing signs of an oriented PD code (PDCode.signs)."""
+    return sum(pd.signs)
 
 
 def mirror(pd: PDCode) -> PDCode:
-    """Swap over and under strands at every crossing."""
-    n = pd.n
-    out = []
-    for quad in pd.crossings:
-        a, b, c, d = quad
-        if crossing_sign(quad, n) > 0:
-            out.append((b, c, d, a))  # incoming over-strand edge is b
-        else:
-            out.append((d, a, b, c))
-    return PDCode(tuple(out))
+    """Swap over and under strands at every crossing: a positive crossing's
+    incoming over-strand edge is b, a negative one's d."""
+    return PDCode(tuple((b, c, d, a) if sign > 0 else (d, a, b, c)
+                        for (a, b, c, d), sign in zip(pd.crossings, pd.signs)))
 
 
 # ---------------------------------------------------------------------------

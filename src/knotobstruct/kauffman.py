@@ -5,9 +5,10 @@ Three engines, all in the bracket variable A:
   (chains of crossings joined by bigons, a lone crossing being a region
   of one) are added one at a time, and the state maps each matching of
   the open boundary to its partial state sum, so the cost follows the
-  boundary's width and the crossing count, not 2^n.  One pass over the
-  PDCode's dart table (contraction_plan) finds the regions and gives
-  their order and the slot each open edge holds while it is open; a
+  boundary's width and the crossing count, not 2^n.  The regions come
+  from the faces the PDCode keeps (its two-sided faces are the bigons),
+  and one pass over its dart table (contraction_plan) gives their order
+  and the slot each open edge holds while it is open; a
   matching is the tuple of partner slots, and a region adds its two
   pairings in TL_2, A^s 1 and A^s' W e with W packed in one integer,
   each by editing a copy of the matching in place.  Each sum is one
@@ -137,16 +138,16 @@ def _catalan(k: int) -> int:
 def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
     """Greedy order of twist regions for bracket_contract, its widest
     boundary, an estimate of its work, and the slot moves along the order
-    with the number of slots they use: one pass over the dart table
-    pd.partner.
+    with the number of slots they use: the bigons read off pd.faces, then
+    one pass over the dart table pd.partner.
 
     A twist region is a maximal chain c_1, ..., c_k of crossings in which
-    c_t and c_(t+1) bound a bigon, a length-2 orbit of the face map d ->
-    partner[d] - 1 (the previous slot of the same crossing), and every
-    bigon corner has the same slot parity p; a corner of slots (s, s+1)
-    has parity s mod 2.  Two bigons on adjacent corners of a crossing
-    would share the edge between them, so the same neighbour, and the
-    strand straight through the crossing would close up through that
+    c_t and c_(t+1) bound a bigon, a face of length 2 in pd.faces (an
+    orbit of d -> partner[d] - 1, the previous slot of the same crossing),
+    and every bigon corner has the same slot parity p; a corner of slots
+    (s, s+1) has parity s mod 2.  Two bigons on adjacent corners of a
+    crossing would share the edge between them, so the same neighbour, and
+    the strand straight through the crossing would close up through that
     neighbour into a loop of its own, which a knot diagram has not: a
     crossing's bigons sit on opposite corners, of one parity.  A bigon
     whose two corners differ in parity (an R2 finger) joins nothing, and a
@@ -160,7 +161,9 @@ def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
     next region is the first one (by its lowest crossing) sharing the
     most edges with it.  An edge enters the boundary at an outer dart
     whose partner is not yet open, which adds one to the count of the
-    partner's region, and it leaves only at that region.  `frontier`
+    partner's region, and it leaves only at that region.  The partner's
+    region is unordered or the one being placed: an edge of an ordered
+    region entered the boundary when that region was placed.  `frontier`
     keeps these counts for the unordered regions that touch the boundary,
     at most one per boundary edge, so a step costs O(width), and finding
     the regions O(n).  After a step of k crossings, with i placed in all,
@@ -192,13 +195,14 @@ def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
     n = pd.n
     # link[d] = e when the corner of slots (d, d + 1) bounds a bigon whose
     # corner at another crossing is (e, e + 1), of the same parity
-    turn = [q - 1 if q & 3 else q + 3 for q in partner]  # the face map
     link = [-1] * len(partner)
     parity = [0] * n
-    for d, e in enumerate(turn):
-        if turn[e] == d and (d ^ e) > 3 and not (d ^ e) & 1:
-            link[d] = e
-            parity[d >> 2] = d & 1
+    for face in pd.faces:
+        if len(face) == 2:
+            d, e = face
+            if (d ^ e) > 3 and not (d ^ e) & 1:
+                link[d], link[e] = e, d
+                parity[d >> 2] = parity[e >> 2] = d & 1
     region_of = [-1] * n
     # per region: its chain, outer darts o1..o4, whether the identity pairs
     # o1 with o3, its two shifts and the cup-cap's signed k
@@ -226,7 +230,6 @@ def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
             d = partner[d] ^ flip
         regions.append((chain, (first, first ^ (4 - flip), c, c ^ (4 - flip)), d == c,
                         (-k, 2 - k) if p else (k, 2 - 3 * k), k if p or k % 2 else -k))
-    placed = [False] * len(regions)
     slot_at = [-1] * len(partner)  # dart where an edge entered -> its slot
     frontier = {0: 0}  # unordered region -> edges on boundary
     free: list[int] = []
@@ -236,7 +239,6 @@ def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
         most = max(frontier.values())
         best = min([r for r, c in frontier.items() if c == most])
         del frontier[best]
-        placed[best] = True
         chain, outer, straight, (id_shift, cc_shift), signed = regions[best]
         order += chain
         slots, freed = [], []
@@ -251,7 +253,7 @@ def contraction_plan(pd: PDCode) -> tuple[list[int], int, int, list, int]:
                 slot_at[dart] = s
                 w += 1
                 j = region_of[other >> 2]
-                if not placed[j]:
+                if j != best:
                     frontier[j] = frontier.get(j, 0) + 1
             else:  # it leaves: its other end is open, or in this region
                 freed.append(s)
@@ -286,16 +288,18 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
     """Kauffman bracket by adding one twist region at a time (Bar-Natan's
     divide-and-conquer contraction, for the bracket).
 
-    contraction_plan reads the region order and each open edge's slot
-    off the dart table pd.partner in one pass.  A matching of the open
-    boundary is the tuple p with p[s] the slot at the other end of the
-    open arc at slot s, and p[s] = s for a free slot.  One pairing of a
-    region's outer darts copies p, joins its two slot pairs (the far ends
-    of the two arcs meet, or they were one arc and a loop closes), resets
-    the slots freed there and makes a tuple again.  Each loop multiplies
-    by delta = -A^-2 (1 + A^4).  Every state sum term closes at least one
-    loop at the last step, which is counted once less there: the
-    matching with every slot free then holds <D>.
+    contraction_plan reads the regions off pd.faces, and their order and
+    each open edge's slot off the dart table pd.partner in one pass.  A
+    matching of the open boundary is the tuple p with p[s] the slot at the
+    other end of the open arc at slot s, and p[s] = s for a free slot.
+    One pairing of a region's outer darts copies p, joins its two slot
+    pairs (the far ends of the two arcs meet, or they were one arc and a
+    loop closes), resets the slots freed there and makes a tuple again.
+    Each loop multiplies by delta = -A^-2 (1 + A^4).  Every state sum term
+    closes at least one loop at the last step, which is counted once less
+    there: the matching with every slot free then holds <D>.  With no
+    crossings there are no steps, and the empty matching holds 1, the
+    round unknot's <D>.
 
     A region c_1, ..., c_k is a 2-tangle, so its smoothings sum to x 1 +
     y e in the Temperley-Lieb algebra TL_2 (Kauffman, Topology 26, 1987):
@@ -366,9 +370,6 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
         raise DiagramTooLarge(
             f"contraction work estimate {work} exceeds the cap {CONTRACT_WORK_CAP}"
         )
-    if not order:
-        return LaurentPoly.one()  # the crossingless unknot
-
     bits = n + 2
     free = tuple(range(size))
     states = {free: (0, 1)}
@@ -414,9 +415,7 @@ def bracket_contract(pd: PDCode) -> LaurentPoly:
                     raise NormalizationError(
                         f"bracket exponents {e} and {lo2} on one matching "
                         "differ outside a class mod 4")
-                if not d:
-                    out[k] = (lo2, v2 + t)
-                elif d > 0:
+                if d > 0:
                     out[k] = (lo2, v2 + (t << (d >> 2) * bits))
                 else:
                     out[k] = (e, t + (v2 << (-d >> 2) * bits))

@@ -187,7 +187,8 @@ _TERM_RE = re.compile(
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse the render() grammar (also accepts bare `t` and `c*t`).
 
-    Integer coefficients stay `int`; only an `a/b` one is a Fraction.
+    Integer coefficients stay `int`; only an `a/b` one is a Fraction, and
+    b = 0 raises ValueError naming the term.
     """
     s = text.strip()
     if not s or s == "0":
@@ -209,7 +210,11 @@ def parse_laurent(text: str) -> LaurentPoly:
             v, exp, coeff = m.group("var2"), m.group("exp2"), 1
         else:
             text = m.group("coeff")
-            coeff = Fraction(text) if "/" in text else int(text)
+            try:
+                coeff = Fraction(text) if "/" in text else int(text)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"zero denominator in Laurent term {raw!r}") from None
             v, exp = m.group("var1"), m.group("exp1")
         e = int(exp) if exp is not None else (1 if v is not None else 0)
         if neg:

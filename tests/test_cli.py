@@ -129,6 +129,8 @@ class TestInvariants:
          "is no knot's Jones polynomial"),
         *[(("invariants", "--seifert", text), f"--seifert {text!r}")
           for text in ("-1,,1;0,-1", "-1,1,;0,-1", ",-1,1;0,-1", "-1,1;;0,-1", ";")],
+        (("obstruct", "--seifert", "-1,1;0,-1", "--jones", "1/0*t"),
+         "--jones '1/0*t': zero denominator in Laurent term '1/0*t'"),
     ])
     def test_bad_input_exits_2_with_one_error_line(self, args, message):
         result = invoke(*args)

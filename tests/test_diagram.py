@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from helpers import faces
 from test_moves import DIAGRAMS
 
 from knotobstruct.diagram import (
@@ -107,11 +109,31 @@ class TestValidator:
         for diagram in (pd, mirror(pd)):
             flat = [e for quad in diagram.crossings for e in quad]
             partner = diagram.partner
-            assert partner == validate_pd(diagram)
+            assert partner == validate_pd(diagram)[0]
             assert len(partner) == len(flat) == 4 * diagram.n
             for dart, other in enumerate(partner):
                 assert other != dart and partner[other] == dart
                 assert flat[other] == flat[dart]
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DIAGRAMS)
+    def test_kept_faces_and_signs(self, pd):
+        # curled, relabelled and fingered diagrams and their mirrors: the
+        # kept faces are the label-based face walk's, n + 2 of them, the
+        # writhe sums the kept signs, and the mirror negates each one
+        for diagram in (pd, mirror(pd)):
+            walked = sorted(sorted(4 * i + s for i, s in face) for face in faces(diagram))
+            assert sorted(map(sorted, diagram.faces)) == walked
+            assert len(diagram.faces) == diagram.n + 2
+            assert writhe(diagram) == sum(diagram.signs)
+        assert mirror(pd).signs == tuple(-sign for sign in pd.signs)
+
+    def test_derived_fields_stay_out_of_eq_hash_and_repr(self):
+        assert [f.name for f in dataclasses.fields(PDCode)
+                if f.compare or f.repr or f.init] == ["crossings"]
+        pd = parse_pd(TREFOIL)
+        assert repr(pd) == f"PDCode(crossings={pd.crossings!r})"
+        assert (pd.signs, len(pd.faces)) == ((1, 1, 1), 5)
 
     @pytest.mark.parametrize("quads", [
         ((0, 1, 1, 2),), ((-1, 2, 2, 1),), ((1, 2, 2),), ((1, 2, 2, 1, 1),),

@@ -28,9 +28,9 @@ from knotobstruct.kauffman import (
     twist_tangle,
 )
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.obstruction import jones_values
+from knotobstruct.obstruction import jones_values, obstruction_value
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
-from helpers import braid_closure_pd, inverted
+from helpers import braid_closure_pd, faces, inverted, whitehead_double
 from test_moves import CURLS, FINGERS, curl, finger, fingered, moved
 
 TREFOIL = parse_pd(TREFOIL_PD)
@@ -195,28 +195,6 @@ def closed_braids():
 
 
 BRAIDS = closed_braids()
-
-
-def faces(pd):
-    """The faces of pd as lists of corners (i, s), the corner of slots
-    (s, s + 1) at crossing i, found from the labels alone by the face
-    walk: along an edge to its other end, then one slot back."""
-    ends = {}
-    for i, quad in enumerate(pd.crossings):
-        for s, label in enumerate(quad):
-            ends.setdefault(label, []).append((i, s))
-    out, seen = [], set()
-    for corner in itertools.product(range(pd.n), range(4)):
-        face = []
-        while corner not in seen:
-            seen.add(corner)
-            face.append(corner)
-            i, s = corner
-            j, t = next(end for end in ends[pd.crossings[i][s]] if end != (i, s))
-            corner = (j, (t - 1) % 4)
-        if face:
-            out.append(face)
-    return out
 
 
 def bigons(pd):
@@ -411,6 +389,47 @@ class TestTwistRegions:
             assert len(contraction_plan(braid_closure_pd(2, [1] * m))[3]) == 1
         for pd in BIGON_FREE:
             assert len(contraction_plan(pd)[3]) == pd.n
+
+
+#: the Whitehead doubles' companions: the trefoil, the figure-eight and
+#: their mirrors
+COMPANIONS = {"3_1": TREFOIL, "3_1*": mirror(TREFOIL), "4_1": FIG8, "4_1*": mirror(FIG8)}
+
+
+class TestWhiteheadDoubles:
+    """Twisted Whitehead doubles (whitehead_double), diagrams of 14 to 26
+    crossings that no pretzel or braid gives: a clasp beside twist
+    regions whose bigons have both slot parities."""
+
+    @pytest.mark.parametrize("clasp", [1, -1])
+    @pytest.mark.parametrize("name", sorted(COMPANIONS))
+    def test_determinant_ob_and_plan(self, name, clasp):
+        # the double with clasp c has Delta = 1 + c tau (t - 2 + t^-1), so
+        # |V(-1)| = |Delta(-1)| = |4 tau - c|, and the untwisted double
+        # (tau = 0, Delta = 1) has Ob = 0
+        knot = COMPANIONS[name]
+        w = sum(knot.signs)
+        parities = set()
+        for tau in range(-3, 4):
+            pd = whitehead_double(knot, clasp, tau)  # PDCode validates it
+            assert pd.n == 4 * knot.n + 2 + 2 * abs(w + tau)
+            v = jones(pd)
+            assert abs(jones_values(v)[2]) == abs(4 * tau - clasp), tau
+            if tau == 0:
+                assert obstruction_value(v)[2] == 0
+            assert_plan_matches_regions(pd)
+            parities |= {s % 2 for _, s, _, _, same in bigons(pd) if same}
+        if name.startswith("3_1"):  # both parities at either clasp
+            assert parities == {0, 1}
+
+    def test_smallest_doubles_match_brute(self):
+        # w + tau = 0 leaves no twist crossings: the trefoil's doubles at
+        # tau = -w have 14 crossings, small enough for the state sum
+        for knot in (TREFOIL, mirror(TREFOIL)):
+            for clasp in (1, -1):
+                pd = whitehead_double(knot, clasp, -sum(knot.signs))
+                assert pd.n == 14
+                assert bracket_contract(pd) == bracket_brute(pd), pd
 
 
 def tangle_polys(n):

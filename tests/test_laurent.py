@@ -161,6 +161,10 @@ class TestTextForm:
         with pytest.raises(ValueError):
             parse_laurent("t + spam")
 
+    def test_parse_zero_denominator_names_the_term(self):
+        with pytest.raises(ValueError, match=r"^zero denominator in Laurent term '3/0\*t\^2'$"):
+            parse_laurent("t - 3/0*t^2")
+
 
 def _coeff_types(p):
     return {type(c) for c in p.terms.values()}
