@@ -68,7 +68,7 @@ def _parse_input(kind: str, text: str):
     KnotObstructError subclasses."""
     try:
         return _PARSERS[kind](text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputSyntaxError(f"--{kind} {text!r}: {exc}") from exc
 
 

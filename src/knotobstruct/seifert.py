@@ -151,11 +151,7 @@ class GenusOneSpine:
     eps: int = 1
 
     def __post_init__(self):
-        # all plain ints, the common case, skip the call: m_forcing_check
-        # builds 1782 spines per bound-4 sweep
-        if not (type(self.n) is type(self.m) is type(self.ell)
-                is type(self.eps) is int):
-            index_fields(self, "spine fields")
+        index_fields(self, "spine fields")
         if self.eps not in (1, -1):
             raise ValidationError("eps must be +1 or -1")
 
@@ -170,9 +166,14 @@ class GenusOneSpine:
         return self.n * self.m - self.ell * (self.ell + self.eps)
 
 
+def _spine_matrix(n: int, m: int, ell: int, eps: int) -> SeifertMatrix:
+    """The 2x2 Seifert matrix [[n, ell], [ell + eps, m]] of a spine."""
+    return SeifertMatrix([[n, ell], [ell + eps, m]])
+
+
 def seifert_from_spine(s: GenusOneSpine) -> SeifertMatrix:
     """The 2x2 Seifert matrix [[n, ell], [ell + eps, m]]."""
-    return SeifertMatrix([[s.n, s.ell], [s.ell + s.eps, s.m]])
+    return _spine_matrix(s.n, s.m, s.ell, s.eps)
 
 
 def crossing_change(s: GenusOneSpine, sign: int) -> GenusOneSpine:
@@ -263,14 +264,14 @@ def m_forcing_check(bound: int) -> bool:
     Alexander polynomial is computed once for every n in
     [-bound-1, bound+1] and compared with its neighbour at n + 1: these
     are exactly the pairs that both crossing-change directions reach
-    from the cube, for both eps signs.
+    from the cube, for both eps signs.  Each point costs one SeifertMatrix,
+    built by _spine_matrix, which seifert_from_spine also calls.
     """
     rng = range(-bound, bound + 1)
     for m, ell, eps in product(rng, rng, (1, -1)):
         prev = None
         for n in range(-bound - 1, bound + 2):
-            alex = alexander_from_seifert(
-                seifert_from_spine(GenusOneSpine(n, m, ell, eps)))
+            alex = alexander_from_seifert(_spine_matrix(n, m, ell, eps))
             if prev is not None and (alex == prev) != (m == 0):
                 return False
             prev = alex

@@ -1,10 +1,12 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotobstruct import seifert
 from knotobstruct.diagram import PretzelParams
 from knotobstruct.errors import DiagramTooLarge, ValidationError
 from knotobstruct.laurent import LaurentPoly
@@ -447,6 +449,30 @@ class TestMForcing:
     def test_small_ranges(self):
         assert m_forcing_check(1)
         assert m_forcing_check(3)
+
+    def test_fails_when_alexander_never_changes(self, monkeypatch):
+        # every crossing change then keeps Delta, also at m != 0
+        monkeypatch.setattr(seifert, "alexander_from_seifert",
+                            lambda V: LaurentPoly.one())
+        assert not m_forcing_check(1)
+
+    def test_fails_when_alexander_always_changes(self, monkeypatch):
+        # no crossing change then keeps Delta, not even at m = 0
+        fresh = count(1)
+        monkeypatch.setattr(seifert, "alexander_from_seifert",
+                            lambda V: LaurentPoly({0: next(fresh)}))
+        assert not m_forcing_check(1)
+
+    def test_lemma_on_bound_2_cube_through_public_spines(self):
+        def delta(s):
+            return alexander_from_seifert(seifert_from_spine(s))
+
+        rng = range(-2, 3)
+        for n, m, ell, eps in product(rng, rng, rng, (1, -1)):
+            s = GenusOneSpine(n, m, ell, eps)
+            for sign in (1, -1):
+                kept = delta(s) == delta(crossing_change(s, sign))
+                assert kept == (s.m == 0), (s, sign)
 
     def test_witness_with_nonzero_m(self):
         s = GenusOneSpine(0, 1, 0)
