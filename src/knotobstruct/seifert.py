@@ -19,15 +19,15 @@ from .errors import DiagramTooLarge, ValidationError, digit_estimate, print_limi
 from .laurent import LaurentPoly
 
 #: Largest accepted Seifert matrix (genus 8).  Its one determinant is an
-#: integer Bareiss elimination: with entries in +-1000 it took 11-12 ms at
-#: 16x16 and 0.16-0.19 s at 24x24 (2-core x86-64 VM, Python 3.11).
+#: integer Bareiss elimination: with entries in +-1000 it took 8-14 ms at
+#: 16x16 and 0.12-0.20 s at 24x24 (2-core x86-64 VM, Python 3.11).
 MAX_SEIFERT_SIZE = 16
 
 #: Largest size^3 * x.bit_length() SeifertMatrix accepts, x = 2^b its
 #: Kronecker point; the determinant's cost grows with both.  At 5e6 units
-#: dense matrices took 0.18-0.19 s at 16x16 and at most 0.65 s (3x3 and
+#: dense matrices took 0.18-0.23 s at 16x16 and at most 0.61 s (3x3 and
 #: 4x4) over sizes 2-16; a 16x16 with 50-digit entries (11e6 units) took
-#: 0.78-0.91 s (2-core x86-64 VM, Python 3.11).
+#: 0.78-0.92 s (2-core x86-64 VM, Python 3.11).
 SEIFERT_WORK_CAP = 5_000_000
 
 
@@ -114,16 +114,23 @@ def _det(m):
 
     Step k replaces each trailing entry by (pivot * m[i][j] - m[i][k] *
     m[k][j]) // previous pivot, a division that is exact, so every entry
-    stays a minor of m and the last one is det(m).  A zero pivot swaps in
-    a lower row, flipping the sign; the empty matrix has determinant 1.
-    The elimination works in place: m must be a list of lists the caller
-    no longer needs, as SeifertMatrix's fresh Kronecker matrix is.
+    stays a minor of m.  A zero pivot swaps in a lower row, flipping the
+    sign.  Elimination stops when a 2x2 block [[a, b], [c, d]] is left:
+    by Sylvester's identity, which underlies Bareiss's steps, a*d - c*b
+    is det(m) times the previous pivot whether or not a is zero, so the
+    last step needs no pivot search and a 2x2 matrix takes no step at
+    all.  The empty matrix has determinant 1.  The elimination works in
+    place: m must be a list of lists the caller no longer needs, as
+    SeifertMatrix's fresh Kronecker matrix is.
     """
     n = len(m)
-    if not n:
-        return 1
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - c * b
+    if n < 2:
+        return m[0][0] if n else 1
     sign = prev = 1
-    for k in range(n - 1):
+    for k in range(n - 2):
         if not m[k][k]:
             i = next((i for i in range(k + 1, n) if m[i][k]), None)
             if i is None:
@@ -137,7 +144,8 @@ def _det(m):
             for j in range(k + 1, n):
                 ri[j] = (piv * ri[j] - f * rk[j]) // prev
         prev = piv
-    return sign * m[-1][-1]
+    (a, b), (c, d) = m[-2][-2:], m[-1][-2:]
+    return sign * (a * d - c * b) // prev
 
 
 @dataclass(frozen=True)
@@ -266,7 +274,16 @@ def m_forcing_check(bound: int) -> bool:
     are exactly the pairs that both crossing-change directions reach
     from the cube, for both eps signs.  Each point costs one SeifertMatrix,
     built by _spine_matrix, which seifert_from_spine also calls.
+
+    bound is read with operator.index; a non-integer or a negative bound,
+    whose cube holds no point to check, raises ValidationError.
     """
+    try:
+        bound = index(bound)
+    except TypeError:
+        raise ValidationError(f"bound must be an integer, got {bound!r}") from None
+    if bound < 0:
+        raise ValidationError(f"bound must be non-negative, got {bound}")
     rng = range(-bound, bound + 1)
     for m, ell, eps in product(rng, rng, (1, -1)):
         prev = None

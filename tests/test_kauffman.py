@@ -28,7 +28,7 @@ from knotobstruct.kauffman import (
     twist_tangle,
 )
 from knotobstruct.laurent import LaurentPoly
-from knotobstruct.obstruction import jones_values, obstruction_value
+from knotobstruct.obstruction import jones_values, obstruction_value, w3
 from knotobstruct.selftest import TREFOIL_BRACKET, TREFOIL_JONES, TREFOIL_PD, pretzels
 from helpers import braid_closure_pd, faces, inverted, whitehead_double
 from test_moves import CURLS, FINGERS, curl, finger, fingered, moved
@@ -391,13 +391,24 @@ class TestTwistRegions:
             assert len(contraction_plan(pd)[3]) == pd.n
 
 
-#: the Whitehead doubles' companions: the trefoil, the figure-eight and
-#: their mirrors
-COMPANIONS = {"3_1": TREFOIL, "3_1*": mirror(TREFOIL), "4_1": FIG8, "4_1*": mirror(FIG8)}
+#: the Whitehead doubles' companions and their mirrors (name + "*"): the
+#: braid sigma1^3 sigma2 sigma1^-1 sigma2 closes to 5_2, and P(-3,5,7)
+#: has Delta = 1
+COMPANIONS = {
+    "3_1": TREFOIL,
+    "4_1": FIG8,
+    "5_2": braid_closure_pd(3, [1, 1, 1, 2, -1, 2]),
+    "T(2,5)": braid_closure_pd(2, [1] * 5),
+    "T(2,7)": braid_closure_pd(2, [1] * 7),
+    "T(2,11)": braid_closure_pd(2, [1] * 11),
+    "T(3,4)": braid_closure_pd(3, [1, 2] * 4),
+    "P(-3,5,7)": pretzel_pd(PretzelParams(-3, 5, 7)),
+}
+COMPANIONS.update({name + "*": mirror(pd) for name, pd in COMPANIONS.items()})
 
 
 class TestWhiteheadDoubles:
-    """Twisted Whitehead doubles (whitehead_double), diagrams of 14 to 26
+    """Twisted Whitehead doubles (whitehead_double), diagrams of 14 to 86
     crossings that no pretzel or braid gives: a clasp beside twist
     regions whose bigons have both slot parities."""
 
@@ -406,9 +417,11 @@ class TestWhiteheadDoubles:
     def test_determinant_ob_and_plan(self, name, clasp):
         # the double with clasp c has Delta = 1 + c tau (t - 2 + t^-1), so
         # |V(-1)| = |Delta(-1)| = |4 tau - c|, and the untwisted double
-        # (tau = 0, Delta = 1) has Ob = 0
+        # (tau = 0, Delta = 1) has Ob = 0 and w3 = 2 c a2(K), where
+        # a2 = -V_K''(1)/6: observed on these companions, not derived
         knot = COMPANIONS[name]
         w = sum(knot.signs)
+        a2 = Fraction(-jones_values(jones(knot))[0], 6)
         parities = set()
         for tau in range(-3, 4):
             pd = whitehead_double(knot, clasp, tau)  # PDCode validates it
@@ -417,6 +430,7 @@ class TestWhiteheadDoubles:
             assert abs(jones_values(v)[2]) == abs(4 * tau - clasp), tau
             if tau == 0:
                 assert obstruction_value(v)[2] == 0
+                assert w3(v) == 2 * clasp * a2
             assert_plan_matches_regions(pd)
             parities |= {s % 2 for _, s, _, _, same in bigons(pd) if same}
         if name.startswith("3_1"):  # both parities at either clasp

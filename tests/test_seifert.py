@@ -298,6 +298,67 @@ class TestSeifertFacts:
             assert signature(v) == 0
 
 
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fraction, the oracle _det
+    is checked against without sympy."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        i = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            det = -det
+        det *= m[k][k]
+        for ri in m[k + 1:]:
+            f = ri[k] / m[k][k]
+            ri[k:] = [x - f * y for x, y in zip(ri[k:], m[k][k:])]
+    return det
+
+
+class TestDet:
+    """_det eliminates down to the last 2x2 block and takes that block's
+    determinant with no pivot search."""
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(st.lists(
+        st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9)),
+        min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_matches_fraction_elimination(self, rows):
+        # _det eliminates in place, so it gets a copy of rows
+        assert _det([row[:] for row in rows]) == fraction_det(rows)
+
+    @pytest.mark.parametrize("rows, det", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 5], [3, 7]], -15),
+        # the trailing block after one step is [[0, 1], [1, 0]]
+        ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], -1),
+        # ... and [[0, 2], [2, 2]] over the previous pivot 2
+        ([[2, 1, 0], [2, 1, 1], [0, 1, 1]], -2),
+        # [[0, 6], [10, 14]] over the previous pivot 2
+        ([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 3], [0, 0, 5, 7]], -30),
+        # a row swap at step 0, then the trailing block [[0, 1], [1, 0]]
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1),
+    ])
+    def test_zero_leading_entry_in_last_block(self, rows, det):
+        assert fraction_det(rows) == det
+        assert _det([row[:] for row in rows]) == det
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+        # column 1 has no pivot once step 0 has cleared column 0
+        [[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 8], [1, 2, 9, 9]],
+        # column 2 is column 0 plus 4 times column 1: no pivot at step 2
+        [[1, 0, 1, 2, 3], [0, 1, 4, 5, 6], [1, 1, 5, 7, 9],
+         [2, 0, 2, 1, 2], [0, 3, 12, 8, 9]],
+        # the singular trailing block [[0, 1], [0, 1]]
+        [[1, 0, 0], [0, 0, 1], [0, 0, 1]],
+    ])
+    def test_singular_without_a_pivot(self, rows):
+        assert fraction_det(rows) == 0
+        assert _det([row[:] for row in rows]) == 0
+
+
 def _symbolic_det_cases():
     """Square matrices of sizes 0-16 for the symbolic determinant oracle:
     Seifert matrices P^T W P (entries up to 3, or up to 10^6), the same
@@ -473,6 +534,12 @@ class TestMForcing:
             for sign in (1, -1):
                 kept = delta(s) == delta(crossing_change(s, sign))
                 assert kept == (s.m == 0), (s, sign)
+
+    @pytest.mark.parametrize("bound", [-1, -100, 2.5, "4"])
+    def test_refuses_a_bound_it_cannot_check(self, bound):
+        # a negative bound's cube is empty, so True would check nothing
+        with pytest.raises(ValidationError, match="bound must be"):
+            m_forcing_check(bound)
 
     def test_witness_with_nonzero_m(self):
         s = GenusOneSpine(0, 1, 0)
